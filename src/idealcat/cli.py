@@ -47,7 +47,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0, help="verifier sampling seed")
     common.add_argument("--max-abs", type=int, default=25,
-                        help="bound on sampled generators and multiplier factors")
+                        help="bound on sampled generators and multiplier factors (at least 1)")
     common.add_argument("--max-n", type=int, default=12,
                         help="largest modulus for the exhaustive existence searches")
     return common
@@ -218,6 +218,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.max_abs < 1:
+            parser.error(f"--max-abs must be at least 1, got {args.max_abs}")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

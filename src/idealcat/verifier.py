@@ -1,10 +1,14 @@
 """Axiom verification, the brute-force hom oracle, and existence audits.
 
-Over Z_n every check quantifies exhaustively over all objects, morphisms
-and elements; over Z and Q[x] the same laws run on seeded samples, with
-universal properties probed on a grid of multiplier multiples. Checks are
-independent pure computations assembled in a fixed order, so a report is
-deterministic for a given (ring, bounds, seed).
+Each law is written once over the cases a world supplies: over Z_n every
+case (all composable chains, hom-sets and elements), over Z and Q[x]
+seeded draws, ``samples`` per check or ``samples // 5`` for the costlier
+ones. What only a whole hom-set can show (membership, literal
+cancellation) the law asks of the world; checks whose laws really differ
+stay apart. Checks are independent pure computations in a fixed order, so
+a report is deterministic for a given (ring, bounds, seed). Bilinearity is
+checked as left and right distributivity, each over triples; with zero in
+every hom-set that is equivalent to the quartic law.
 
 The brute-force oracle rebuilds hom-sets as raw linear function tables
 from first principles, independent of the Morphism machinery. The
@@ -15,8 +19,10 @@ and the rule refuses is reported with status ``discrepancy`` and a
 machine-checkable witness, and does not fail the suite.
 
 ``law_mutations`` documents five single-law defects (composition,
-addition, kernel, factorization image, splitting corestriction); each must
-be caught by at least one check on the Z_6 category.
+addition, kernel, factorization image, splitting corestriction); each is
+caught by at least one check on Z_6 and Z_12. Over Z and Q[x] the first
+four are caught as well. The splitting defect is not: over a domain the
+only idempotents are 0 and 1, and on those the defect agrees with the rule.
 """
 
 from __future__ import annotations
@@ -96,6 +102,10 @@ class Bounds:
     samples: int = 500
     max_degree: int = 2
     search_ceiling: int = 12
+
+    def __post_init__(self):
+        if self.max_abs < 1 or self.samples < 1 or self.max_degree < 0:
+            raise ValueError(f"need max_abs >= 1, samples >= 1, max_degree >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -249,11 +259,14 @@ def morphism_table(f: Morphism) -> FunctionTable:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive world for Z_n
+# case sources: every case of Z_n, or seeded draws over Z and Q[x]
 
 
 class _FiniteWorld:
-    """Precomputed objects, hom-sets and ideal elements of the Z_n category."""
+    """Precomputed objects, hom-sets and ideal elements of the Z_n category;
+    each case source yields every case and ignores ``few``."""
+
+    triples_are_chains = False
 
     def __init__(self, ring: ModularRing, laws: LawTable):
         self.ring = ring
@@ -266,389 +279,57 @@ class _FiniteWorld:
         }
         self.morphisms = [f for homset in self.hom.values() for f in homset]
         self.elements = {A: ideal_elements(A) for A in self.objects}
+        self.members = {key: frozenset(homset) for key, homset in self.hom.items()}
 
+    def chains(self, length: int, few: bool = False):
+        """Every composable chain (f1, ..., fk), f(i+1) after f(i)."""
+        chains = ((f,) for f in self.morphisms)
+        for _ in range(length - 1):
+            chains = (c + (g,) for c in chains
+                      for C in self.objects for g in self.hom[(c[-1].cod, C)])
+        return chains
 
-def _m(f: Morphism) -> str:
-    return f.literal
+    def partners(self, f: Morphism):
+        """Every morphism parallel to f."""
+        return self.hom[(f.dom, f.cod)]
 
+    def idempotents(self):
+        return (e for A in self.objects for e in self.hom[(A, A)] if compose(e, e) == e)
 
-def _fin_compose_associative(w: _FiniteWorld):
-    laws = w.laws
-    for (B, C), inner in w.hom.items():
-        for g in inner:
-            for A in w.objects:
-                for f in w.hom[(A, B)]:
-                    gf = laws.compose(g, f)
-                    for D in w.objects:
-                        for h in w.hom[(C, D)]:
-                            if laws.compose(h, gf) != laws.compose(laws.compose(h, g), f):
-                                return {"f": _m(f), "g": _m(g), "h": _m(h)}
-    return None
+    def ideal_triples(self, few: bool = False):
+        """Every triple of objects."""
+        return product(self.objects, repeat=3)
 
+    def points(self, A: Ideal):
+        return self.elements[A]
 
-def _fin_identity_neutral(w: _FiniteWorld):
-    laws = w.laws
-    for f in w.morphisms:
-        if laws.compose(identity(f.cod), f) != f:
-            return {"f": _m(f), "law": "1 after f"}
-        if laws.compose(f, identity(f.dom)) != f:
-            return {"f": _m(f), "law": "f after 1"}
-    return None
+    def member(self, f: Morphism) -> bool:
+        """Whether f is in its enumerated hom-set."""
+        return f in self.members[(f.dom, f.cod)]
 
+    def expected_kernel(self, f: Morphism) -> Ideal:
+        """The ideal generated by the zero set of f."""
+        return ideal_new(self.ring, [x for x in self.elements[f.dom] if apply(f, x) == 0])
 
-def _fin_hom_abelian(w: _FiniteWorld):
-    laws = w.laws
-    for (A, B), homset in w.hom.items():
-        members = set(homset)
-        zero = zero_morphism(A, B)
-        if zero not in members:
-            return {"hom": f"{A.literal}->{B.literal}", "law": "zero missing"}
-        for f in homset:
-            if hom_neg(f) not in members:
-                return {"f": _m(f), "law": "negation closure"}
-            if laws.add(f, zero) != f:
-                return {"f": _m(f), "law": "zero neutral"}
-            if laws.add(f, hom_neg(f)) != zero:
-                return {"f": _m(f), "law": "inverse"}
-            for g in homset:
-                s = laws.add(f, g)
-                if s not in members:
-                    return {"f": _m(f), "g": _m(g), "law": "closure"}
-                if s != laws.add(g, f):
-                    return {"f": _m(f), "g": _m(g), "law": "commutativity"}
-                for h in homset:
-                    if laws.add(s, h) != laws.add(f, laws.add(g, h)):
-                        return {"f": _m(f), "g": _m(g), "h": _m(h), "law": "associativity"}
-    return None
-
-
-def _fin_bilinear(w: _FiniteWorld):
-    laws = w.laws
-    for A in w.objects:
-        for B in w.objects:
-            for C in w.objects:
-                outer = w.hom[(B, C)]
-                for f, f2 in product(w.hom[(A, B)], repeat=2):
-                    ff = laws.add(f, f2)
-                    for g, g2 in product(outer, repeat=2):
-                        lhs = laws.compose(laws.add(g, g2), ff)
-                        rhs = laws.add(
-                            laws.add(laws.compose(g, f), laws.compose(g, f2)),
-                            laws.add(laws.compose(g2, f), laws.compose(g2, f2)),
-                        )
-                        if lhs != rhs:
-                            return {"f": _m(f), "f'": _m(f2), "g": _m(g), "g'": _m(g2)}
-    return None
-
-
-def _fin_zero_object(w: _FiniteWorld):
-    O = w.objects[0]
-    if not O.is_zero:
-        return {"law": "zero ideal missing from object list"}
-    for B in w.objects:
-        into, out = w.hom[(B, O)], w.hom[(O, B)]
-        if len(into) != 1 or not into[0].is_zero:
-            return {"object": B.literal, "law": "terminal"}
-        if len(out) != 1 or not out[0].is_zero:
-            return {"object": B.literal, "law": "initial"}
-    return None
-
-
-def _fin_pointwise_compose(w: _FiniteWorld):
-    laws = w.laws
-    for (B, C), inner in w.hom.items():
-        for g in inner:
-            for A in w.objects:
-                for f in w.hom[(A, B)]:
-                    gf = laws.compose(g, f)
-                    for x in w.elements[A]:
-                        if apply(gf, x) != apply(g, apply(f, x)):
-                            return {"f": _m(f), "g": _m(g), "x": x}
-    return None
-
-
-def _fin_pointwise_add(w: _FiniteWorld):
-    laws = w.laws
-    n = w.ring.modulus
-    for (A, B), homset in w.hom.items():
-        for f, g in product(homset, repeat=2):
-            s = laws.add(f, g)
-            for x in w.elements[A]:
-                if apply(s, x) != (apply(f, x) + apply(g, x)) % n:
-                    return {"f": _m(f), "g": _m(g), "x": x}
-    return None
-
-
-def _fin_equality_pointwise(w: _FiniteWorld):
-    for (A, B), homset in w.hom.items():
-        tables = {morphism_table(f) for f in homset}
-        if len(tables) != len(homset):
-            return {
-                "hom": f"{A.literal}->{B.literal}",
-                "law": "distinct canonical morphisms share a function table",
-            }
-    return None
-
-
-def _fin_hom_oracle(w: _FiniteWorld):
-    for (A, B), homset in w.hom.items():
-        ours = sorted(morphism_table(f) for f in homset)
-        brute = sorted(brute_force_hom_set(A, B))
-        if ours != brute:
-            return {
-                "hom": f"{A.literal}->{B.literal}",
-                "enumerated": len(ours),
-                "brute_force": len(brute),
-            }
-    return None
-
-
-def _fin_kernel_zero_set(w: _FiniteWorld):
-    for f in w.morphisms:
-        K, j = w.laws.kernel(f)
-        if j.dom != K or j.cod != f.dom or not is_inclusion(j):
-            return {"f": _m(f), "law": "kernel inclusion shape"}
-        if compose(f, j) != zero_morphism(K, f.cod):
-            return {"f": _m(f), "law": "f after inclusion is zero"}
-        zero_set = tuple(x for x in w.elements[f.dom] if apply(f, x) == 0)
-        if zero_set != w.elements[K]:
-            return {"f": _m(f), "kernel": K.literal, "zero_set": list(zero_set)}
-    return None
-
-
-def _fin_kernel_universal(w: _FiniteWorld):
-    for f in w.morphisms:
-        K, j = w.laws.kernel(f)
-        for K2 in w.objects:
-            target = zero_morphism(K2, f.cod)
-            for j2 in w.hom[(K2, f.dom)]:
-                if compose(f, j2) != target:
-                    continue
-                count = sum(1 for h in w.hom[(K2, K)] if compose(j, h) == j2)
-                if count != 1:
-                    return {"f": _m(f), "j'": _m(j2), "factorizations": count}
-    return None
-
-
-def _fin_cokernel_universal(w: _FiniteWorld):
-    for f in w.morphisms:
-        try:
-            E, p = cokernel(f)
-        except CokernelDoesNotExist:
-            continue
-        if compose(p, f) != zero_morphism(f.dom, E):
-            return {"f": _m(f), "law": "projection after f is zero"}
-        for E2 in w.objects:
-            target = zero_morphism(f.dom, E2)
-            for q in w.hom[(f.cod, E2)]:
-                if compose(q, f) != target:
-                    continue
-                count = sum(1 for h in w.hom[(E, E2)] if compose(h, p) == q)
-                if count != 1:
-                    return {"f": _m(f), "q": _m(q), "factorizations": count}
-    return None
-
-
-def _left_cancellable(w: _FiniteWorld, f: Morphism) -> bool:
-    for C in w.objects:
-        seen = set()
-        for g in w.hom[(C, f.dom)]:
-            fg = compose(f, g)
-            if fg in seen:
+    def cancellable(self, f: Morphism, left: bool) -> bool:
+        """Literal cancellation: g -> f g (left) or g -> g f (right) is
+        injective on every hom-set it applies to."""
+        for X in self.objects:
+            gs = self.hom[(X, f.dom)] if left else self.hom[(f.cod, X)]
+            if len({compose(f, g) if left else compose(g, f) for g in gs}) != len(gs):
                 return False
-            seen.add(fg)
-    return True
+        return True
 
-
-def _right_cancellable(w: _FiniteWorld, f: Morphism) -> bool:
-    for D in w.objects:
-        seen = set()
-        for g in w.hom[(f.cod, D)]:
-            gf = compose(g, f)
-            if gf in seen:
-                return False
-            seen.add(gf)
-    return True
-
-
-def _fin_factorization(w: _FiniteWorld):
-    for f in w.morphisms:
-        q, j = w.laws.factorize(f)
-        im = image(f)
-        if q.dom != f.dom or q.cod != im or j.dom != im or j.cod != f.cod:
-            return {"f": _m(f), "law": "factor shapes", "q": _m(q), "j": _m(j)}
-        if not is_inclusion(j):
-            return {"f": _m(f), "j": _m(j), "law": "j is an inclusion"}
-        if compose(j, q) != f:
-            return {"f": _m(f), "law": "j after q recovers f"}
-        if not is_epi(q):
-            return {"f": _m(f), "q": _m(q), "law": "q is epi"}
-        if not _right_cancellable(w, q):
-            return {"f": _m(f), "q": _m(q), "law": "q right-cancellation"}
-    return None
-
-
-def _fin_mono_cancellation(w: _FiniteWorld):
-    for f in w.morphisms:
-        if is_mono(f) != _left_cancellable(w, f):
-            return {"f": _m(f), "is_mono": is_mono(f)}
-    return None
-
-
-def _fin_epi_cancellation(w: _FiniteWorld):
-    for f in w.morphisms:
-        if is_epi(f) != _right_cancellable(w, f):
-            return {"f": _m(f), "is_epi": is_epi(f)}
-    return None
-
-
-def _fin_subobject_preorder(w: _FiniteWorld):
-    for A in w.objects:
-        if not is_subideal(A, A):
-            return {"object": A.literal, "law": "reflexivity"}
-    for A, B in product(w.objects, repeat=2):
-        if is_subideal(A, B) and is_subideal(B, A) and A != B:
-            return {"A": A.literal, "B": B.literal, "law": "antisymmetry"}
-        for C in w.objects:
-            if is_subideal(A, B) and is_subideal(B, C) and not is_subideal(A, C):
-                return {"A": A.literal, "B": B.literal, "C": C.literal, "law": "transitivity"}
-    return None
-
-
-def _fin_inclusion_axioms(w: _FiniteWorld):
-    for A, B in product(w.objects, repeat=2):
-        if not is_subideal(A, B):
-            continue
-        j = inclusion(A, B)
-        if not is_mono(j):
-            return {"j": _m(j), "law": "inclusions are mono"}
-        if any(apply(j, x) != x for x in w.elements[A]):
-            return {"j": _m(j), "law": "inclusion acts as identity"}
-        for C in w.objects:
-            if is_subideal(B, C):
-                if compose(inclusion(B, C), j) != inclusion(A, C):
-                    return {"A": A.literal, "B": B.literal, "C": C.literal,
-                            "law": "inclusions compose to inclusions"}
-    # right division: j1 = j2 . h forces h to be an inclusion
-    for C in w.objects:
-        subs = [A for A in w.objects if is_subideal(A, C)]
-        for A in subs:
-            j1 = inclusion(A, C)
-            for B in subs:
-                j2 = inclusion(B, C)
-                for h in w.hom[(A, B)]:
-                    if compose(j2, h) == j1 and not is_inclusion(h):
-                        return {"j1": _m(j1), "j2": _m(j2), "h": _m(h),
-                                "law": "right division"}
-    return None
-
-
-def _fin_idempotent_split(w: _FiniteWorld):
-    for A in w.objects:
-        for e in w.hom[(A, A)]:
-            if compose(e, e) != e:
-                continue
-            B, g, f = w.laws.split(e)
-            if compose(g, f) != identity(B):
-                return {"e": _m(e), "law": "retraction after section is identity"}
-            if compose(f, g) != e:
-                return {"e": _m(e), "law": "section after retraction is e"}
-    return None
-
-
-def _fin_idempotent_kernel(w: _FiniteWorld):
-    for A in w.objects:
-        for e in w.hom[(A, A)]:
-            if compose(e, e) != e:
-                continue
-            K, j = w.laws.kernel(e)
-            if compose(e, j) != zero_morphism(K, A):
-                return {"e": _m(e), "law": "idempotent kernel"}
-    return None
-
-
-def _fin_biproduct(w: _FiniteWorld):
-    for i, A in enumerate(w.objects):
-        for B in w.objects[i:]:
-            if not intersect(A, B).is_zero:
-                try:
-                    biproduct(A, B)
-                except NontrivialIntersection:
-                    continue
-                return {"A": A.literal, "B": B.literal,
-                        "law": "nontrivial intersection must be refused"}
-            bp = biproduct(A, B)
-            checks = (
-                (compose(bp.p1, bp.i1), identity(A), "p1 i1 = 1"),
-                (compose(bp.p2, bp.i2), identity(B), "p2 i2 = 1"),
-                (compose(bp.p1, bp.i2), zero_morphism(B, A), "p1 i2 = 0"),
-                (compose(bp.p2, bp.i1), zero_morphism(A, B), "p2 i1 = 0"),
-                (hom_add(compose(bp.i1, bp.p1), compose(bp.i2, bp.p2)),
-                 identity(bp.object), "i1 p1 + i2 p2 = 1"),
-            )
-            for got, expected, law in checks:
-                if got != expected:
-                    return {"A": A.literal, "B": B.literal, "law": law}
-            for C in w.objects:
-                for f1 in w.hom[(C, A)]:
-                    for f2 in w.hom[(C, B)]:
-                        h = pair_into_product(bp, f1, f2)
-                        if compose(bp.p1, h) != f1 or compose(bp.p2, h) != f2:
-                            return {"f1": _m(f1), "f2": _m(f2), "law": "pairing"}
-                        count = sum(
-                            1
-                            for h2 in w.hom[(C, bp.object)]
-                            if compose(bp.p1, h2) == f1 and compose(bp.p2, h2) == f2
-                        )
-                        if count != 1:
-                            return {"f1": _m(f1), "f2": _m(f2),
-                                    "law": "pairing uniqueness", "count": count}
-                for g1 in w.hom[(A, C)]:
-                    for g2 in w.hom[(B, C)]:
-                        h = copair_from_coproduct(bp, g1, g2)
-                        if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
-                            return {"g1": _m(g1), "g2": _m(g2), "law": "copairing"}
-                        count = sum(
-                            1
-                            for h2 in w.hom[(bp.object, C)]
-                            if compose(h2, bp.i1) == g1 and compose(h2, bp.i2) == g2
-                        )
-                        if count != 1:
-                            return {"g1": _m(g1), "g2": _m(g2),
-                                    "law": "copairing uniqueness", "count": count}
-    return None
-
-
-_FINITE_CHECKS = [
-    ("compose-associative", _fin_compose_associative),
-    ("identity-neutral", _fin_identity_neutral),
-    ("hom-abelian-group", _fin_hom_abelian),
-    ("compose-bilinear", _fin_bilinear),
-    ("zero-object-initial-terminal", _fin_zero_object),
-    ("compose-pointwise", _fin_pointwise_compose),
-    ("add-pointwise", _fin_pointwise_add),
-    ("morphism-equality-pointwise", _fin_equality_pointwise),
-    ("hom-oracle-agreement", _fin_hom_oracle),
-    ("kernel-zero-set", _fin_kernel_zero_set),
-    ("kernel-universal", _fin_kernel_universal),
-    ("cokernel-universal", _fin_cokernel_universal),
-    ("factorization-epi-inclusion", _fin_factorization),
-    ("mono-left-cancellation", _fin_mono_cancellation),
-    ("epi-right-cancellation", _fin_epi_cancellation),
-    ("subobject-strict-preorder", _fin_subobject_preorder),
-    ("inclusion-axioms", _fin_inclusion_axioms),
-    ("idempotent-splitting", _fin_idempotent_split),
-    ("idempotent-kernel", _fin_idempotent_kernel),
-    ("biproduct-laws", _fin_biproduct),
-]
-
-
-# ---------------------------------------------------------------------------
-# sampled world for Z and Q[x]
+    def right_divisors(self, j: Morphism, target: Morphism) -> list[Morphism]:
+        """Every h with j after h equal to target."""
+        return [h for h in self.hom[(target.dom, j.dom)] if compose(j, h) == target]
 
 
 class _SampledWorld:
-    """Seeded sample pools over an infinite backend."""
+    """Seeded draws over an infinite backend: each case source yields
+    ``samples`` draws, or ``samples // 5`` with ``few`` or where it says so."""
+
+    triples_are_chains = True
 
     def __init__(self, ring: Ring, bounds: Bounds, mode: str, laws: LawTable):
         self.ring = ring
@@ -683,69 +364,366 @@ class _SampledWorld:
         scaled = base * Fraction.from_element(self.ring, self.ring.coerce(factor))
         return _raw_morphism(A, B, scaled)
 
-    def random_point(self, A: Ideal):
-        return self.ring.mul(self.ring.coerce(self.random_element()), A.generator)
+    def draws(self, few: bool) -> range:
+        return range(self.bounds.samples // 5 if few else self.bounds.samples)
 
-    def chain(self, length: int) -> tuple:
-        objs = [self.random_ideal() for _ in range(length + 1)]
-        maps = [self.hom_element(objs[i], objs[i + 1]) for i in range(length)]
-        return tuple(maps)
+    def chains(self, length: int, few: bool = False):
+        for _ in self.draws(few):
+            objs = [self.random_ideal() for _ in range(length + 1)]
+            yield tuple(self.hom_element(objs[i], objs[i + 1]) for i in range(length))
+
+    def partners(self, f: Morphism):
+        """One drawn morphism parallel to f."""
+        return (self.hom_element(f.dom, f.cod),)
+
+    def idempotents(self):
+        """0 and 1 on a drawn ideal: over a domain the only idempotents."""
+        for _ in self.draws(True):
+            A = self.random_ideal()
+            yield zero_morphism(A, A)
+            yield identity(A)
+
+    def ideal_triples(self, few: bool = False):
+        """Chains (c k1 k2) <= (c k1) <= (c), so both A and B lie in C."""
+        ring = self.ring
+        for _ in self.draws(few):
+            c, k1, k2 = (self.random_element(nonzero=True) for _ in range(3))
+            ck1 = ring.mul(c, k1)
+            yield (ideal_new(ring, [ring.mul(ck1, k2)]), ideal_new(ring, [ck1]),
+                   ideal_new(ring, [c]))
+
+    def points(self, A: Ideal):
+        return (self.ring.mul(self.ring.coerce(self.random_element()), A.generator),)
+
+    def member(self, f: Morphism) -> bool:
+        return True  # drawn as a multiple of its hom-set's base
+
+    def expected_kernel(self, f: Morphism) -> Ideal:
+        """Over a domain a nonzero multiplication map is injective."""
+        return f.dom if f.multiplier.is_zero else zero_object(self.ring)
+
+    def cancellable(self, f: Morphism, left: bool) -> bool:
+        return True  # needs whole hom-sets; mono-/epi-criterion sample it instead
+
+    def right_divisors(self, j: Morphism, target: Morphism) -> list[Morphism]:
+        """j is injective, so only the multiplier 1 can solve j h = target."""
+        h = morphism_new(target.dom, j.dom, Fraction.one(self.ring))
+        return [h] if compose(j, h) == target else []
 
 
-def _smp_compose_associative(w: _SampledWorld):
+def _unique(hs, factors: Callable[[Morphism], bool]) -> bool:
+    """Whether exactly one h in hs satisfies factors(h); stops at a second."""
+    matches = filter(factors, hs)
+    return next(matches, None) is not None and next(matches, None) is None
+
+
+# ---------------------------------------------------------------------------
+# laws shared by both worlds
+
+
+def _compose_associative(w):
     laws = w.laws
-    for _ in range(w.bounds.samples):
-        f, g, h = w.chain(3)
+    for f, g, h in w.chains(3):
         if laws.compose(h, laws.compose(g, f)) != laws.compose(laws.compose(h, g), f):
-            return {"f": _m(f), "g": _m(g), "h": _m(h)}
+            return {"f": f.literal, "g": g.literal, "h": h.literal}
     return None
 
 
-def _smp_identity_neutral(w: _SampledWorld):
+def _identity_neutral(w):
     laws = w.laws
-    for _ in range(w.bounds.samples):
-        (f,) = w.chain(1)
-        if laws.compose(identity(f.cod), f) != f or laws.compose(f, identity(f.dom)) != f:
-            return {"f": _m(f)}
+    for (f,) in w.chains(1):
+        if laws.compose(identity(f.cod), f) != f:
+            return {"f": f.literal, "law": "1 after f"}
+        if laws.compose(f, identity(f.dom)) != f:
+            return {"f": f.literal, "law": "f after 1"}
     return None
 
 
-def _smp_hom_abelian(w: _SampledWorld):
+def _hom_abelian(w):
     laws = w.laws
-    for _ in range(w.bounds.samples):
-        A, B = w.random_ideal(), w.random_ideal()
-        f, g, h = (w.hom_element(A, B) for _ in range(3))
-        zero = zero_morphism(A, B)
-        if laws.add(f, g) != laws.add(g, f):
-            return {"f": _m(f), "g": _m(g), "law": "commutativity"}
-        if laws.add(laws.add(f, g), h) != laws.add(f, laws.add(g, h)):
-            return {"f": _m(f), "g": _m(g), "h": _m(h), "law": "associativity"}
+    for (f,) in w.chains(1):
+        zero, neg = zero_morphism(f.dom, f.cod), hom_neg(f)
+        if not w.member(zero):
+            return {"hom": f"{f.dom.literal}->{f.cod.literal}", "law": "zero missing"}
+        if not w.member(neg):
+            return {"f": f.literal, "law": "negation closure"}
         if laws.add(f, zero) != f:
-            return {"f": _m(f), "law": "zero neutral"}
-        if laws.add(f, hom_neg(f)) != zero:
-            return {"f": _m(f), "law": "inverse"}
+            return {"f": f.literal, "law": "zero neutral"}
+        if laws.add(f, neg) != zero:
+            return {"f": f.literal, "law": "inverse"}
+        for g in w.partners(f):
+            s = laws.add(f, g)
+            if not w.member(s):
+                return {"f": f.literal, "g": g.literal, "law": "closure"}
+            if s != laws.add(g, f):
+                return {"f": f.literal, "g": g.literal, "law": "commutativity"}
+            for h in w.partners(f):
+                if laws.add(s, h) != laws.add(f, laws.add(g, h)):
+                    return {"f": f.literal, "g": g.literal, "h": h.literal, "law": "associativity"}
     return None
 
 
-def _smp_bilinear(w: _SampledWorld):
+def _compose_bilinear(w):
+    """g(f + f') = g f + g f' and (g + g') f = g f + g' f. Every hom-set
+    holds zero (hom-abelian-group), so these two cubic laws are equivalent
+    to (g + g')(f + f') = g f + g f' + g' f + g' f'."""
     laws = w.laws
-    for _ in range(w.bounds.samples):
-        A, B, C = (w.random_ideal() for _ in range(3))
-        f, f2 = w.hom_element(A, B), w.hom_element(A, B)
-        g, g2 = w.hom_element(B, C), w.hom_element(B, C)
-        lhs = laws.compose(laws.add(g, g2), laws.add(f, f2))
-        rhs = laws.add(
-            laws.add(laws.compose(g, f), laws.compose(g, f2)),
-            laws.add(laws.compose(g2, f), laws.compose(g2, f2)),
-        )
-        if lhs != rhs:
-            return {"f": _m(f), "f'": _m(f2), "g": _m(g), "g'": _m(g2)}
+    for f, g in w.chains(2):
+        gf = laws.compose(g, f)
+        for f2 in w.partners(f):
+            if laws.compose(g, laws.add(f, f2)) != laws.add(gf, laws.compose(g, f2)):
+                return {"f": f.literal, "f'": f2.literal, "g": g.literal,
+                        "law": "left distributivity"}
+        for g2 in w.partners(g):
+            if laws.compose(laws.add(g, g2), f) != laws.add(gf, laws.compose(g2, f)):
+                return {"f": f.literal, "g": g.literal, "g'": g2.literal,
+                        "law": "right distributivity"}
     return None
+
+
+def _compose_pointwise(w):
+    for f, g in w.chains(2):
+        gf = w.laws.compose(g, f)
+        for x in w.points(f.dom):
+            if apply(gf, x) != apply(g, apply(f, x)):
+                return {"f": f.literal, "g": g.literal, "x": w.ring.format_element(x)}
+    return None
+
+
+def _add_pointwise(w):
+    for (f,) in w.chains(1):
+        for g in w.partners(f):
+            s = w.laws.add(f, g)
+            for x in w.points(f.dom):
+                if apply(s, x) != w.ring.add(apply(f, x), apply(g, x)):
+                    return {"f": f.literal, "g": g.literal, "x": w.ring.format_element(x)}
+    return None
+
+
+def _kernel_zero_set(w):
+    for (f,) in w.chains(1):
+        K, j = w.laws.kernel(f)
+        expected = w.expected_kernel(f)
+        if K != expected:
+            return {"f": f.literal, "kernel": K.literal, "expected": expected.literal}
+        if j.dom != K or j.cod != f.dom or not is_inclusion(j):
+            return {"f": f.literal, "law": "kernel inclusion shape"}
+        if compose(f, j) != zero_morphism(K, f.cod):
+            return {"f": f.literal, "law": "f after inclusion is zero"}
+        for x in w.points(f.dom):
+            if w.ring.is_zero(apply(f, x)) != contains_element(K, x):
+                return {"f": f.literal, "x": w.ring.format_element(x)}
+    return None
+
+
+def _factorization(w):
+    for (f,) in w.chains(1):
+        q, j = w.laws.factorize(f)
+        im = image(f)
+        if q.dom != f.dom or q.cod != im or j.dom != im or j.cod != f.cod:
+            return {"f": f.literal, "law": "factor shapes", "q": q.literal, "j": j.literal}
+        if not is_inclusion(j):
+            return {"f": f.literal, "j": j.literal, "law": "j is an inclusion"}
+        if compose(j, q) != f:
+            return {"f": f.literal, "law": "j after q recovers f"}
+        if not is_epi(q):
+            return {"f": f.literal, "q": q.literal, "law": "q is epi"}
+        if not w.cancellable(q, left=False):
+            return {"f": f.literal, "q": q.literal, "law": "q right-cancellation"}
+    return None
+
+
+def _subobject_preorder(w):
+    """Reflexive, antisymmetric (also against the generator's negative) and
+    transitive; a world whose triples are chains needs all three
+    inclusions to hold."""
+    ring = w.ring
+    for A, B, C in w.ideal_triples():
+        ab, bc = is_subideal(A, B), is_subideal(B, C)
+        if (w.triples_are_chains or ab and bc) and not (ab and bc and is_subideal(A, C)):
+            return {"A": A.literal, "B": B.literal, "C": C.literal, "law": "transitivity"}
+        if not is_subideal(A, A):
+            return {"A": A.literal, "law": "reflexivity"}
+        for other in (B, ideal_new(ring, [ring.neg(A.generator)])):
+            if A != other and is_subideal(other, A) and is_subideal(A, other):
+                return {"A": A.literal, "B": other.literal, "law": "antisymmetry"}
+    return None
+
+
+def _inclusion_axioms(w):
+    for A, B, C in w.ideal_triples(few=True):
+        if not (w.triples_are_chains or is_subideal(A, C) and is_subideal(B, C)):
+            continue
+        j_ac, j_bc = inclusion(A, C), inclusion(B, C)
+        if not is_mono(j_ac):
+            return {"j": j_ac.literal, "law": "inclusions are mono"}
+        if any(apply(j_ac, x) != x for x in w.points(A)):
+            return {"j": j_ac.literal, "law": "inclusion acts as identity"}
+        # right division: only inclusions solve j(B,C) h = j(A,C), and j(A,B) does
+        divisors = w.right_divisors(j_bc, j_ac)
+        if is_subideal(A, B):
+            if compose(j_bc, inclusion(A, B)) != j_ac:
+                return {"A": A.literal, "B": B.literal, "C": C.literal,
+                        "law": "inclusions compose to inclusions"}
+            if not divisors:
+                return {"j1": j_ac.literal, "j2": j_bc.literal, "law": "right division"}
+        for h in divisors:
+            if not is_inclusion(h):
+                return {"j1": j_ac.literal, "j2": j_bc.literal, "h": h.literal,
+                        "law": "right division"}
+    return None
+
+
+def _idempotent_splitting(w):
+    for e in w.idempotents():
+        B, g, f = w.laws.split(e)
+        if compose(g, f) != identity(B):
+            return {"e": e.literal, "law": "retraction after section is identity"}
+        if compose(f, g) != e:
+            return {"e": e.literal, "law": "section after retraction is e"}
+        twice = hom_add(e, e)
+        if compose(twice, twice) != twice:
+            try:
+                w.laws.split(twice)
+            except NotIdempotent:
+                continue
+            return {"e": twice.literal, "law": "non-idempotent must be refused"}
+    return None
+
+
+def _idempotent_kernel(w):
+    for e in w.idempotents():
+        K, j = w.laws.kernel(e)
+        if compose(e, j) != zero_morphism(K, e.dom):
+            return {"e": e.literal, "law": "idempotent kernel"}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# exhaustive-only laws for Z_n
+
+
+def _fin_zero_object(w: _FiniteWorld):
+    O = w.objects[0]
+    if not O.is_zero:
+        return {"law": "zero ideal missing from object list"}
+    for B in w.objects:
+        into, out = w.hom[(B, O)], w.hom[(O, B)]
+        if len(into) != 1 or not into[0].is_zero:
+            return {"object": B.literal, "law": "terminal"}
+        if len(out) != 1 or not out[0].is_zero:
+            return {"object": B.literal, "law": "initial"}
+    return None
+
+
+def _fin_equality_pointwise(w: _FiniteWorld):
+    for (A, B), homset in w.hom.items():
+        tables = {morphism_table(f) for f in homset}
+        if len(tables) != len(homset):
+            return {
+                "hom": f"{A.literal}->{B.literal}",
+                "law": "distinct canonical morphisms share a function table",
+            }
+    return None
+
+
+def _fin_hom_oracle(w: _FiniteWorld):
+    for (A, B), homset in w.hom.items():
+        ours = sorted(morphism_table(f) for f in homset)
+        brute = sorted(brute_force_hom_set(A, B))
+        if ours != brute:
+            return {
+                "hom": f"{A.literal}->{B.literal}",
+                "enumerated": len(ours),
+                "brute_force": len(brute),
+            }
+    return None
+
+
+def _fin_kernel_universal(w: _FiniteWorld):
+    for f in w.morphisms:
+        K, j = w.laws.kernel(f)
+        for K2 in w.objects:
+            target = zero_morphism(K2, f.cod)
+            for j2 in w.hom[(K2, f.dom)]:
+                if compose(f, j2) == target and not _unique(
+                        w.hom[(K2, K)], lambda h: compose(j, h) == j2):
+                    return {"f": f.literal, "j'": j2.literal, "law": "unique factorization"}
+    return None
+
+
+def _fin_cokernel_universal(w: _FiniteWorld):
+    for f in w.morphisms:
+        try:
+            E, p = cokernel(f)
+        except CokernelDoesNotExist:
+            continue
+        if compose(p, f) != zero_morphism(f.dom, E):
+            return {"f": f.literal, "law": "projection after f is zero"}
+        if not _has_cokernel_property(w, f, E, p):
+            return {"f": f.literal, "cokernel": E.literal, "law": "unique factorization"}
+    return None
+
+
+def _fin_mono_cancellation(w: _FiniteWorld):
+    for f in w.morphisms:
+        if is_mono(f) != w.cancellable(f, left=True):
+            return {"f": f.literal, "is_mono": is_mono(f)}
+    return None
+
+
+def _fin_epi_cancellation(w: _FiniteWorld):
+    for f in w.morphisms:
+        if is_epi(f) != w.cancellable(f, left=False):
+            return {"f": f.literal, "is_epi": is_epi(f)}
+    return None
+
+
+def _fin_biproduct(w: _FiniteWorld):
+    for i, A in enumerate(w.objects):
+        for B in w.objects[i:]:
+            if not intersect(A, B).is_zero:
+                try:
+                    biproduct(A, B)
+                except NontrivialIntersection:
+                    continue
+                return {"A": A.literal, "B": B.literal,
+                        "law": "nontrivial intersection must be refused"}
+            bp = biproduct(A, B)
+            checks = (
+                (compose(bp.p1, bp.i1), identity(A), "p1 i1 = 1"),
+                (compose(bp.p2, bp.i2), identity(B), "p2 i2 = 1"),
+                (compose(bp.p1, bp.i2), zero_morphism(B, A), "p1 i2 = 0"),
+                (compose(bp.p2, bp.i1), zero_morphism(A, B), "p2 i1 = 0"),
+                (hom_add(compose(bp.i1, bp.p1), compose(bp.i2, bp.p2)),
+                 identity(bp.object), "i1 p1 + i2 p2 = 1"),
+            )
+            for got, expected, law in checks:
+                if got != expected:
+                    return {"A": A.literal, "B": B.literal, "law": law}
+            for C in w.objects:
+                for f1, f2 in product(w.hom[(C, A)], w.hom[(C, B)]):
+                    h = pair_into_product(bp, f1, f2)
+                    if compose(bp.p1, h) != f1 or compose(bp.p2, h) != f2:
+                        return {"f1": f1.literal, "f2": f2.literal, "law": "pairing"}
+                for g1, g2 in product(w.hom[(A, C)], w.hom[(B, C)]):
+                    h = copair_from_coproduct(bp, g1, g2)
+                    if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
+                        return {"g1": g1.literal, "g2": g2.literal, "law": "copairing"}
+            if not _is_product(w, A, B, bp.object, bp.p1, bp.p2):
+                return {"A": A.literal, "B": B.literal, "law": "pairing uniqueness"}
+            if not _is_coproduct(w, A, B, bp.object, bp.i1, bp.i2):
+                return {"A": A.literal, "B": B.literal, "law": "copairing uniqueness"}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# sampled-only laws for Z and Q[x]
 
 
 def _smp_zero_object(w: _SampledWorld):
     O = zero_object(w.ring)
-    for _ in range(w.bounds.samples // 5):
+    for _ in w.draws(True):
         B = w.random_ideal(nonzero=True)
         if not enumerate_hom(O, B, w.mode).base.is_zero:
             return {"object": B.literal, "law": "initial"}
@@ -759,62 +737,19 @@ def _smp_zero_object(w: _SampledWorld):
     return None
 
 
-def _smp_pointwise_compose(w: _SampledWorld):
-    laws = w.laws
-    for _ in range(w.bounds.samples):
-        f, g = w.chain(2)
-        gf = laws.compose(g, f)
-        x = w.random_point(f.dom)
-        if apply(gf, x) != apply(g, apply(f, x)):
-            return {"f": _m(f), "g": _m(g), "x": w.ring.format_element(x)}
-    return None
-
-
-def _smp_pointwise_add(w: _SampledWorld):
-    laws = w.laws
-    for _ in range(w.bounds.samples):
-        A, B = w.random_ideal(), w.random_ideal()
-        f, g = w.hom_element(A, B), w.hom_element(A, B)
-        s = laws.add(f, g)
-        x = w.random_point(A)
-        if apply(s, x) != w.ring.add(apply(f, x), apply(g, x)):
-            return {"f": _m(f), "g": _m(g), "x": w.ring.format_element(x)}
-    return None
-
-
 def _smp_equality_pointwise(w: _SampledWorld):
-    for _ in range(w.bounds.samples):
+    for _ in w.draws(False):
         A = w.random_ideal(nonzero=True)
         B = w.random_ideal()
         f, g = w.hom_element(A, B), w.hom_element(A, B)
         if (f == g) != (apply(f, A.generator) == apply(g, A.generator)):
-            return {"f": _m(f), "g": _m(g)}
-    return None
-
-
-def _smp_kernel_zero_set(w: _SampledWorld):
-    laws = w.laws
-    for _ in range(w.bounds.samples):
-        (f,) = w.chain(1)
-        K, j = laws.kernel(f)
-        expected = f.dom if f.multiplier.is_zero else zero_object(w.ring)
-        if K != expected:
-            return {"f": _m(f), "kernel": K.literal, "expected": expected.literal}
-        if j.dom != K or j.cod != f.dom or not is_inclusion(j):
-            return {"f": _m(f), "law": "kernel inclusion shape"}
-        if compose(f, j) != zero_morphism(K, f.cod):
-            return {"f": _m(f), "law": "f after inclusion is zero"}
-        x = w.random_point(f.dom)
-        if (w.ring.is_zero(apply(f, x))) != contains_element(K, x):
-            return {"f": _m(f), "x": w.ring.format_element(x)}
+            return {"f": f.literal, "g": g.literal}
     return None
 
 
 def _smp_kernel_universal(w: _SampledWorld):
-    laws = w.laws
-    for _ in range(w.bounds.samples // 5):
-        (f,) = w.chain(1)
-        K, j = laws.kernel(f)
+    for (f,) in w.chains(1, few=True):
+        K, j = w.laws.kernel(f)
         K2 = w.random_ideal()
         if f.multiplier.is_zero:
             j2 = w.hom_element(K2, f.dom)
@@ -824,7 +759,7 @@ def _smp_kernel_universal(w: _SampledWorld):
             continue
         h = morphism_new(K2, K, j2.multiplier)
         if compose(j, h) != j2:
-            return {"f": _m(f), "j'": _m(j2), "law": "existence"}
+            return {"f": f.literal, "j'": j2.literal, "law": "existence"}
         base = enumerate_hom(K2, K, w.mode).base
         for k in (1, 2, -1):
             shift = base * Fraction.from_element(w.ring, w.ring.coerce(k))
@@ -832,174 +767,95 @@ def _smp_kernel_universal(w: _SampledWorld):
                 continue
             other = _raw_morphism(K2, K, h.multiplier + shift)
             if compose(j, other) == j2:
-                return {"f": _m(f), "j'": _m(j2), "law": "uniqueness"}
+                return {"f": f.literal, "j'": j2.literal, "law": "uniqueness"}
     return None
 
 
 def _smp_cokernel_rule(w: _SampledWorld):
-    for _ in range(w.bounds.samples // 5):
+    for _ in w.draws(True):
         A = w.random_ideal(nonzero=True)
         B = w.random_ideal(nonzero=True)
         zero = zero_morphism(A, B)
         E, p = cokernel(zero)
         if E != B or p != identity(B):
-            return {"f": _m(zero), "law": "zero map gets (cod, identity)"}
+            return {"f": zero.literal, "law": "zero map gets (cod, identity)"}
         sample = w.hom_element(A, B, factor=w.random_element(nonzero=True))
         onto = morphism_new(A, image(sample), sample.multiplier)
         if not onto.is_zero:
             E, p = cokernel(onto)
             if not E.is_zero or p != zero_morphism(onto.cod, E):
-                return {"f": _m(onto), "law": "surjection gets the zero object"}
+                return {"f": onto.literal, "law": "surjection gets the zero object"}
         proper = w.hom_element(A, B, factor=w.ring.mul(
             w.ring.coerce(2), w.ring.coerce(w.random_element(nonzero=True))))
         if image(proper) == B or proper.is_zero:
             continue
         try:
             cokernel(proper)
-            return {"f": _m(proper), "law": "nonzero non-surjection must be refused"}
+            return {"f": proper.literal, "law": "nonzero non-surjection must be refused"}
         except CokernelDoesNotExist:
             pass
     return None
 
 
-def _smp_factorization(w: _SampledWorld):
-    laws = w.laws
-    for _ in range(w.bounds.samples):
-        (f,) = w.chain(1)
-        q, j = laws.factorize(f)
-        im = image(f)
-        if q.dom != f.dom or q.cod != im or j.dom != im or j.cod != f.cod:
-            return {"f": _m(f), "law": "factor shapes"}
-        if not is_inclusion(j):
-            return {"f": _m(f), "j": _m(j), "law": "j is an inclusion"}
-        if compose(j, q) != f:
-            return {"f": _m(f), "law": "j after q recovers f"}
-        if not is_epi(q):
-            return {"f": _m(f), "q": _m(q), "law": "q is epi"}
-    return None
-
-
 def _smp_mono_criterion(w: _SampledWorld):
-    for _ in range(w.bounds.samples):
-        (f,) = w.chain(1)
+    for (f,) in w.chains(1):
         expected = f.dom.is_zero or not f.multiplier.is_zero
         if is_mono(f) != expected:
-            return {"f": _m(f), "is_mono": is_mono(f), "expected": expected}
+            return {"f": f.literal, "is_mono": is_mono(f), "expected": expected}
         C = w.random_ideal(nonzero=True)
         g1 = w.hom_element(C, f.dom)
         g2 = w.hom_element(C, f.dom)
         if expected:
             if g1 != g2 and compose(f, g1) == compose(f, g2):
-                return {"f": _m(f), "g1": _m(g1), "g2": _m(g2), "law": "left cancellation"}
+                return {"f": f.literal, "g1": g1.literal, "g2": g2.literal,
+                        "law": "left cancellation"}
         elif not f.dom.is_zero:
             a, b = identity(f.dom), hom_add(identity(f.dom), identity(f.dom))
             if compose(f, a) != compose(f, b):
-                return {"f": _m(f), "law": "zero map should not cancel"}
+                return {"f": f.literal, "law": "zero map should not cancel"}
     return None
 
 
 def _smp_epi_criterion(w: _SampledWorld):
-    for _ in range(w.bounds.samples):
-        (f,) = w.chain(1)
+    for (f,) in w.chains(1):
         expected = f.cod.is_zero or not f.multiplier.is_zero
         if is_epi(f) != expected:
-            return {"f": _m(f), "is_epi": is_epi(f), "expected": expected}
+            return {"f": f.literal, "is_epi": is_epi(f), "expected": expected}
         D = w.random_ideal(nonzero=True)
         g1 = w.hom_element(f.cod, D)
         g2 = w.hom_element(f.cod, D)
         if expected and g1 != g2 and compose(g1, f) == compose(g2, f):
-            return {"f": _m(f), "g1": _m(g1), "g2": _m(g2), "law": "right cancellation"}
+            return {"f": f.literal, "g1": g1.literal, "g2": g2.literal,
+                    "law": "right cancellation"}
     return None
 
 
-def _smp_subobject_preorder(w: _SampledWorld):
-    ring = w.ring
-    for _ in range(w.bounds.samples):
-        c = w.random_element(nonzero=True)
-        k1 = w.random_element(nonzero=True)
-        k2 = w.random_element(nonzero=True)
-        C = ideal_new(ring, [c])
-        B = ideal_new(ring, [ring.mul(c, k1)])
-        A = ideal_new(ring, [ring.mul(ring.mul(c, k1), k2)])
-        if not (is_subideal(A, B) and is_subideal(B, C) and is_subideal(A, C)):
-            return {"A": A.literal, "B": B.literal, "C": C.literal, "law": "chain order"}
-        if not is_subideal(A, A):
-            return {"A": A.literal, "law": "reflexivity"}
-        neg = ideal_new(ring, [ring.neg(A.generator)])
-        if is_subideal(A, neg) and is_subideal(neg, A) and A != neg:
-            return {"A": A.literal, "law": "antisymmetry"}
-    return None
-
-
-def _smp_inclusion_axioms(w: _SampledWorld):
-    ring = w.ring
-    for _ in range(w.bounds.samples // 5):
-        c = w.random_element(nonzero=True)
-        k1 = w.random_element(nonzero=True)
-        k2 = w.random_element(nonzero=True)
-        C = ideal_new(ring, [c])
-        B = ideal_new(ring, [ring.mul(c, k1)])
-        A = ideal_new(ring, [ring.mul(ring.mul(c, k1), k2)])
-        if compose(inclusion(B, C), inclusion(A, B)) != inclusion(A, C):
-            return {"A": A.literal, "B": B.literal, "C": C.literal,
-                    "law": "inclusions compose to inclusions"}
-        if not is_mono(inclusion(A, C)) and not A.is_zero:
-            return {"A": A.literal, "C": C.literal, "law": "inclusions are mono"}
-        # right division: the solver of j(B,C) . h = j(A,C) is the inclusion
-        h = morphism_new(A, B, Fraction.one(ring))
-        if compose(inclusion(B, C), h) != inclusion(A, C) or not is_inclusion(h):
-            return {"A": A.literal, "B": B.literal, "law": "right division"}
-    return None
-
-
-def _smp_idempotent_split(w: _SampledWorld):
-    laws = w.laws
-    for _ in range(w.bounds.samples // 5):
-        A = w.random_ideal()
-        for e in (zero_morphism(A, A), identity(A)):
-            B, g, f = laws.split(e)
-            if compose(g, f) != identity(B) or compose(f, g) != e:
-                return {"e": _m(e), "law": "splitting equations"}
-        if not A.is_zero:
-            bad = w.hom_element(A, A, factor=2)
-            try:
-                laws.split(bad)
-                return {"e": _m(bad), "law": "non-idempotent must be refused"}
-            except NotIdempotent:
-                pass
-    return None
-
-
-def _smp_idempotent_kernel(w: _SampledWorld):
-    laws = w.laws
-    for _ in range(w.bounds.samples // 5):
-        A = w.random_ideal()
-        for e in (zero_morphism(A, A), identity(A)):
-            K, j = laws.kernel(e)
-            if compose(e, j) != zero_morphism(K, A):
-                return {"e": _m(e), "law": "idempotent kernel"}
-    return None
-
-
-_SAMPLED_CHECKS = [
-    ("compose-associative", _smp_compose_associative),
-    ("identity-neutral", _smp_identity_neutral),
-    ("hom-abelian-group", _smp_hom_abelian),
-    ("compose-bilinear", _smp_bilinear),
-    ("zero-object-initial-terminal", _smp_zero_object),
-    ("compose-pointwise", _smp_pointwise_compose),
-    ("add-pointwise", _smp_pointwise_add),
-    ("morphism-equality-pointwise", _smp_equality_pointwise),
-    ("kernel-zero-set", _smp_kernel_zero_set),
-    ("kernel-universal", _smp_kernel_universal),
-    ("cokernel-rule", _smp_cokernel_rule),
-    ("factorization-epi-inclusion", _smp_factorization),
-    ("mono-criterion", _smp_mono_criterion),
-    ("epi-criterion", _smp_epi_criterion),
-    ("subobject-strict-preorder", _smp_subobject_preorder),
-    ("inclusion-axioms", _smp_inclusion_axioms),
-    ("idempotent-splitting", _smp_idempotent_split),
-    ("idempotent-kernel", _smp_idempotent_kernel),
+# (name, exhaustive law, sampled law); None where only one world runs it.
+# Each world keeps the check order of its own column.
+_CHECKS = [
+    ("compose-associative", _compose_associative, _compose_associative),
+    ("identity-neutral", _identity_neutral, _identity_neutral),
+    ("hom-abelian-group", _hom_abelian, _hom_abelian),
+    ("compose-bilinear", _compose_bilinear, _compose_bilinear),
+    ("zero-object-initial-terminal", _fin_zero_object, _smp_zero_object),
+    ("compose-pointwise", _compose_pointwise, _compose_pointwise),
+    ("add-pointwise", _add_pointwise, _add_pointwise),
+    ("morphism-equality-pointwise", _fin_equality_pointwise, _smp_equality_pointwise),
+    ("hom-oracle-agreement", _fin_hom_oracle, None),
+    ("kernel-zero-set", _kernel_zero_set, _kernel_zero_set),
+    ("kernel-universal", _fin_kernel_universal, _smp_kernel_universal),
+    ("cokernel-universal", _fin_cokernel_universal, None),
+    ("cokernel-rule", None, _smp_cokernel_rule),
+    ("factorization-epi-inclusion", _factorization, _factorization),
+    ("mono-left-cancellation", _fin_mono_cancellation, None),
+    ("epi-right-cancellation", _fin_epi_cancellation, None),
+    ("mono-criterion", None, _smp_mono_criterion),
+    ("epi-criterion", None, _smp_epi_criterion),
+    ("subobject-strict-preorder", _subobject_preorder, _subobject_preorder),
+    ("inclusion-axioms", _inclusion_axioms, _inclusion_axioms),
+    ("idempotent-splitting", _idempotent_splitting, _idempotent_splitting),
+    ("idempotent-kernel", _idempotent_kernel, _idempotent_kernel),
+    ("biproduct-laws", _fin_biproduct, None),
 ]
 
 
@@ -1012,14 +868,13 @@ def check_axioms(
     """Run every axiom check for one ring; failures become report entries."""
     bounds = bounds or Bounds()
     laws = laws or STANDARD_LAWS
-    if isinstance(ring, ModularRing):
-        world = _FiniteWorld(ring, laws)
-        steps = _FINITE_CHECKS
-    else:
-        world = _SampledWorld(ring, bounds, mode, laws)
-        steps = _SAMPLED_CHECKS
+    exhaustive = isinstance(ring, ModularRing)
+    world = _FiniteWorld(ring, laws) if exhaustive else _SampledWorld(ring, bounds, mode, laws)
     report = Report(ring)
-    for name, fn in steps:
+    for name, finite_law, sampled_law in _CHECKS:
+        fn = finite_law if exhaustive else sampled_law
+        if fn is None:
+            continue
         try:
             witness = fn(world)
         except Exception as exc:  # mutated laws may raise anywhere mid-check
@@ -1034,12 +889,12 @@ def check_axioms(
 
 
 def _has_cokernel_property(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
+    """Every q with q f = 0 factors through p in exactly one way."""
     for E2 in w.objects:
         target = zero_morphism(f.dom, E2)
         for q in w.hom[(f.cod, E2)]:
-            if compose(q, f) != target:
-                continue
-            if sum(1 for h in w.hom[(E, E2)] if compose(h, p) == q) != 1:
+            if compose(q, f) == target and not _unique(
+                    w.hom[(E, E2)], lambda h: compose(h, p) == q):
                 return False
     return True
 
@@ -1062,33 +917,19 @@ def search_cokernel(f: Morphism) -> list[CokernelPair]:
 
 
 def _is_product(w: _FiniteWorld, A: Ideal, B: Ideal, P: Ideal, p1, p2) -> bool:
-    for C in w.objects:
-        for f1 in w.hom[(C, A)]:
-            for f2 in w.hom[(C, B)]:
-                count = 0
-                for h in w.hom[(C, P)]:
-                    if compose(p1, h) == f1 and compose(p2, h) == f2:
-                        count += 1
-                        if count > 1:
-                            return False
-                if count != 1:
-                    return False
-    return True
+    return all(
+        _unique(w.hom[(C, P)], lambda h: compose(p1, h) == f1 and compose(p2, h) == f2)
+        for C in w.objects
+        for f1, f2 in product(w.hom[(C, A)], w.hom[(C, B)])
+    )
 
 
 def _is_coproduct(w: _FiniteWorld, A: Ideal, B: Ideal, P: Ideal, i1, i2) -> bool:
-    for C in w.objects:
-        for g1 in w.hom[(A, C)]:
-            for g2 in w.hom[(B, C)]:
-                count = 0
-                for h in w.hom[(P, C)]:
-                    if compose(h, i1) == g1 and compose(h, i2) == g2:
-                        count += 1
-                        if count > 1:
-                            return False
-                if count != 1:
-                    return False
-    return True
+    return all(
+        _unique(w.hom[(P, C)], lambda h: compose(h, i1) == g1 and compose(h, i2) == g2)
+        for C in w.objects
+        for g1, g2 in product(w.hom[(A, C)], w.hom[(B, C)])
+    )
 
 
 def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
@@ -1141,7 +982,7 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
                 refused_but_found.append((f, found))
             continue
         if pair not in found and agreement is None:
-            agreement = {"f": _m(f), "law": "returned cokernel fails the search"}
+            agreement = {"f": f.literal, "law": "returned cokernel fails the search"}
     entries.append(CheckResult(
         "cokernel-rule-agreement", "pass" if agreement is None else "fail", agreement))
     for f, found in refused_but_found:
@@ -1152,7 +993,7 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
                 "morphism": f.literal,
                 "rule": "refused: neither zero nor surjective",
                 "found": [
-                    {"object": E.literal, "projection": _m(p)} for E, p in found
+                    {"object": E.literal, "projection": p.literal} for E, p in found
                 ],
                 "certificate": (
                     "each listed pair satisfies projection after f = 0 and factors "

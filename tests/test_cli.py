@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idealcat
 from idealcat.formats import (
     ideal_from_json,
     ideal_to_json,
@@ -168,6 +173,19 @@ def test_usage_errors(run_cli):
     code, out = run_cli("kernel", "--ring", "zmod:6", "rho(1;1;2)", "--json")
     assert code == 1  # invalid multiplier: 1 does not land in <2>
     assert json.loads(out)["error"]["type"] == "InvalidMultiplier"
+
+
+@pytest.mark.parametrize("max_abs", ["0", "-1"])
+def test_verify_rejects_max_abs_below_one(max_abs):
+    # In a child process with a timeout: --max-abs 0 once sampled forever.
+    src = str(Path(idealcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "idealcat.cli", "verify", "--ring", "z", "--max-abs", max_abs],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    assert "--max-abs must be at least 1" in proc.stderr
 
 
 def test_paper_mode_rejects_fraction_literal(run_cli):

@@ -6,6 +6,8 @@ import pytest
 from idealcat.constructions import CokernelPair, cokernel
 from idealcat.errors import CokernelDoesNotExist, RingMismatch
 from idealcat.ideals import (
+    FULL,
+    PAPER,
     all_morphisms,
     enumerate_hom,
     enumerate_objects,
@@ -107,13 +109,46 @@ def test_check_axioms_z_paper_mode():
     assert not report.failed
 
 
-def test_every_fail_carries_witness_and_mutations_are_caught():
+# The checks each mutant fails on Z_n; a rewrite of the verifier must keep
+# every one of them.
+MUTANT_CATCHES = {
+    "compose-adds-multipliers": {
+        "compose-associative", "identity-neutral", "compose-bilinear", "compose-pointwise"},
+    "add-multiplies-multipliers": {"hom-abelian-group", "compose-bilinear", "add-pointwise"},
+    "kernel-whole-domain": {"kernel-zero-set", "idempotent-kernel"},
+    "factorization-skips-image": {"factorization-epi-inclusion"},
+    "splitting-identity-retraction": {"idempotent-splitting"},
+}
+
+
+@pytest.mark.parametrize(
+    "ring, mode",
+    [(Z6, FULL), (ModularRing(12), FULL), (INTEGERS, FULL), (INTEGERS, PAPER),
+     (RATIONAL_POLYNOMIALS, FULL)],
+    ids=["zmod:6", "zmod:12", "z-full", "z-paper", "qpoly-full"],
+)
+def test_every_fail_carries_witness_and_mutations_are_caught(ring, mode):
     for name, laws in law_mutations().items():
-        report = check_axioms(Z6, laws=laws)
-        failing = [c for c in report.checks if c.status == "fail"]
-        assert failing, f"mutation {name} was not caught"
-        for c in failing:
-            assert c.witness is not None
+        report = check_axioms(ring, Bounds(seed=3, samples=20), mode, laws)
+        failing = {c.name for c in report.checks if c.status == "fail"}
+        assert all(c.witness is not None for c in report.checks if c.status == "fail")
+        if isinstance(ring, ModularRing):
+            assert failing == MUTANT_CATCHES[name], name
+        elif name != "splitting-identity-retraction":
+            # Over a domain the only idempotents are 0 and 1, and on those the
+            # splitting mutant agrees with the rule, so only Z_n can catch it.
+            assert failing, f"mutation {name} was not caught"
+
+
+@pytest.mark.parametrize("bad", [{"max_abs": 0}, {"max_abs": -1}, {"samples": 0},
+                                 {"max_degree": -1}])
+def test_bounds_reject_values_that_cannot_be_sampled(bad):
+    with pytest.raises(ValueError):
+        Bounds(**bad)
+
+
+def test_bounds_allow_a_single_sample():
+    assert not check_axioms(INTEGERS, Bounds(samples=1)).failed
 
 
 def test_mutation_catalogue_is_the_documented_five():
