@@ -47,7 +47,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0, help="verifier sampling seed")
     common.add_argument("--max-abs", type=int, default=25,
-                        help="bound on sampled generators and multiplier factors (at least 1)")
+                        help="bound on sampled integers over z, at least 1 (qpoly ignores it)")
     common.add_argument("--max-n", type=int, default=12,
                         help="largest modulus for the exhaustive existence searches")
     return common

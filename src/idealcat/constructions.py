@@ -37,7 +37,7 @@ from .ideals import (
     morphism_new,
     zero_morphism,
 )
-from .rings import INTEGERS, ModularRing, Ring, euclid_xgcd
+from .rings import Ring
 
 
 class KernelPair(NamedTuple):
@@ -100,8 +100,7 @@ def cokernel(f: Morphism) -> CokernelPair:
 
 def _crt_one_zero(m1: int, m2: int) -> int:
     # smallest x >= 0 with x = 1 (mod m1) and x = 0 (mod m2); needs gcd(m1, m2) = 1
-    _, u, _ = euclid_xgcd(INTEGERS, m2, m1)
-    return (u * m2) % (m1 * m2)
+    return m2 * pow(m2, -1, m1)
 
 
 def biproduct(A: Ideal, B: Ideal) -> Biproduct:
@@ -124,8 +123,7 @@ def biproduct(A: Ideal, B: Ideal) -> Biproduct:
         p2 = identity(obj) if not B.is_zero else zero_morphism(obj, B)
         return Biproduct(obj, p1, p2, i1, i2)
     ring = A.ring
-    assert isinstance(ring, ModularRing)
-    n = ring.modulus
+    n = ring.characteristic
     m1, m2 = n // A.generator, n // B.generator
     s1 = _crt_one_zero(m1, m2)
     s2 = _crt_one_zero(m2, m1)

@@ -57,9 +57,18 @@ def ideal_to_json(A: Ideal) -> dict:
     return {"ring": A.ring.literal, "gen": A.ring.format_element(A.generator)}
 
 
+def _fields(obj, shape: dict) -> list:
+    """The payload's values for ``shape``'s keys, each of the given type."""
+    if not isinstance(obj, dict) or any(not isinstance(obj.get(k), t) for k, t in shape.items()):
+        fields = ", ".join(f"{k}: {t.__name__}" for k, t in shape.items())
+        raise ParseError(f"expected a JSON object {{{fields}}}, got {obj!r}")
+    return [obj[k] for k in shape]
+
+
 def ideal_from_json(obj: dict) -> Ideal:
-    ring = ring_from_literal(obj["ring"])
-    return ideal_new(ring, [ring.parse_element(obj["gen"])])
+    literal, gen = _fields(obj, {"ring": str, "gen": str})
+    ring = ring_from_literal(literal)
+    return ideal_new(ring, [ring.parse_element(gen)])
 
 
 def morphism_to_json(f: Morphism) -> dict:
@@ -71,11 +80,11 @@ def morphism_to_json(f: Morphism) -> dict:
 
 
 def morphism_from_json(obj: dict, mode: str = FULL) -> Morphism:
-    dom = ideal_from_json(obj["dom"])
-    cod = ideal_from_json(obj["cod"])
+    dom, mult, cod = _fields(obj, {"dom": dict, "mult": str, "cod": dict})
+    dom, cod = ideal_from_json(dom), ideal_from_json(cod)
     if dom.ring != cod.ring:
         raise RingMismatch("morphism endpoints over different rings")
-    return morphism_new(dom, cod, parse_fraction(dom.ring, obj["mult"]), mode)
+    return morphism_new(dom, cod, parse_fraction(dom.ring, mult), mode)
 
 
 def homset_to_json(hs: HomSet) -> dict:

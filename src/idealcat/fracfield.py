@@ -6,9 +6,9 @@ form: gcd(num, den) is a unit, the denominator is the canonical associate
 denominator is always the unit 1; there are no genuine fractions over a
 non-domain.
 
-Text form: ``p`` or ``p/q`` for the integer backends. For qpoly the two
-parts are parenthesized (``(x+1)/(x-1)``) because rational coefficients
-already contain ``/``.
+Text form: ``p`` or ``p/q``. A ring whose element literals contain ``/``
+(qpoly's rational coefficients) sets ``parenthesized_fractions``, and
+then both parts are parenthesized: ``(x+1)/(x-1)``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .errors import FractionOverNonDomain, ParseError, RingMismatch, ZeroDenominator
-from .rings import RationalPolynomialRing, Ring, RingElement
+from .rings import Ring, RingElement
 
 _QPOLY_FRACTION = re.compile(r"\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)")
 
@@ -117,7 +117,7 @@ def format_fraction(f: Fraction) -> str:
     ring = f.ring
     if f.is_integral:
         return ring.format_element(f.num)
-    if isinstance(ring, RationalPolynomialRing):
+    if ring.parenthesized_fractions:
         return f"({ring.format_element(f.num)})/({ring.format_element(f.den)})"
     return f"{ring.format_element(f.num)}/{ring.format_element(f.den)}"
 
@@ -127,7 +127,7 @@ def parse_fraction(ring: Ring, text: str) -> Fraction:
     t = text.strip()
     if not t:
         raise ParseError("empty fraction literal")
-    if isinstance(ring, RationalPolynomialRing):
+    if ring.parenthesized_fractions:
         if t.startswith("("):
             m = _QPOLY_FRACTION.fullmatch(t)
             if m is None:

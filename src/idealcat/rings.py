@@ -16,16 +16,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
-from .errors import ParseError
+from .errors import InfiniteObjectClass, ParseError
 from .poly import Poly, format_poly, parse_poly
 
 RingElement = int | Poly
 
 
 class Ring:
-    """Arithmetic backend descriptor; subclasses fix the element type."""
+    """Arithmetic backend descriptor; subclasses fix the element type.
+
+    ``characteristic`` is n over Z_n (a finite ring) and 0 over the domains.
+    """
 
     is_domain: bool = True
+    characteristic: int = 0
+    parenthesized_fractions: bool = False
 
     def _key(self) -> tuple:
         return (type(self).__name__,)
@@ -56,6 +61,14 @@ class Ring:
             return self.zero
         return self.canonical(self.exact_div(self.mul(a, b), self.gcd(a, b)))
 
+    def annihilator(self, c):
+        """Canonical generator of {x : x*c = 0}; over a domain <1> or <0>."""
+        return self.one if self.is_zero(c) else self.zero
+
+    def ideal_generators(self) -> list:
+        """The canonical generators of all ideals, sorted; finite rings only."""
+        raise InfiniteObjectClass(f"{self} has infinitely many ideals")
+
 
 class IntegerRing(Ring):
     """Arbitrary-precision integers; canonical associates are nonnegative."""
@@ -68,7 +81,7 @@ class IntegerRing(Ring):
         return "z"
 
     def coerce(self, value) -> int:
-        if isinstance(value, int):
+        if type(value) is int:  # not bool, which would render as True
             return value
         raise TypeError(f"not an integer element: {value!r}")
 
@@ -114,6 +127,9 @@ class IntegerRing(Ring):
     def format_element(self, a: int) -> str:
         return str(a)
 
+    def random_element(self, rng, max_abs: int, max_degree: int) -> int:
+        return rng.randint(-max_abs, max_abs)
+
 
 class ModularRing(Ring):
     """Residues modulo n, stored reduced into [0, n); not a domain."""
@@ -123,7 +139,7 @@ class ModularRing(Ring):
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        self.modulus = modulus
+        self.modulus = self.characteristic = modulus
         self.zero = 0
         self.one = 1
 
@@ -138,7 +154,7 @@ class ModularRing(Ring):
         return f"zmod:{self.modulus}"
 
     def coerce(self, value) -> int:
-        if isinstance(value, int):
+        if type(value) is int:
             return value % self.modulus
         raise TypeError(f"not a residue: {value!r}")
 
@@ -158,19 +174,29 @@ class ModularRing(Ring):
         # every residue is an associate of gcd(a, n); n itself normalizes to 0
         return math.gcd(a, self.modulus) % self.modulus
 
-    def canonical_unit(self, a: int) -> int:
-        c = self.canonical(a)
-        for u in range(1, self.modulus):
-            if math.gcd(u, self.modulus) == 1 and (u * c) % self.modulus == a:
-                return u
-        return 1
+    def exact_div(self, a: int, b: int) -> int:
+        # by units only, as non-unit quotients are not unique; denominators here are 1
+        return a if b == 1 else (a * pow(b, -1, self.modulus)) % self.modulus
+
+    def gcd(self, a: int, b: int) -> int:
+        return math.gcd(a, b, self.modulus) % self.modulus
+
+    def lcm(self, a: int, b: int) -> int:
+        n = self.modulus
+        return math.lcm(math.gcd(a, n), math.gcd(b, n)) % n
+
+    def annihilator(self, c: int) -> int:
+        return self.modulus // math.gcd(c, self.modulus) % self.modulus
 
     def divides(self, a: int, b: int) -> bool:
         # r*a = b (mod n) is solvable exactly when gcd(a, n) divides b
         return b % math.gcd(a, self.modulus) == 0
 
-    def elements(self) -> range:
-        return range(self.modulus)
+    def ideal_generators(self) -> list[int]:
+        """The divisors of n, paired d with n / d up to sqrt(n); n is 0."""
+        n = self.modulus
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return sorted({d % n for s in small for d in (s, n // s)})
 
     def parse_element(self, text: str) -> int:
         try:
@@ -187,6 +213,7 @@ class RationalPolynomialRing(Ring):
 
     zero = Poly()
     one = Poly((1,))
+    parenthesized_fractions = True
 
     @property
     def literal(self) -> str:
@@ -195,7 +222,7 @@ class RationalPolynomialRing(Ring):
     def coerce(self, value) -> Poly:
         if isinstance(value, Poly):
             return value
-        if isinstance(value, (int, Q)):
+        if type(value) in (int, Q):
             return Poly((Q(value),))
         raise TypeError(f"not a polynomial element: {value!r}")
 
@@ -234,6 +261,11 @@ class RationalPolynomialRing(Ring):
 
     def format_element(self, a: Poly) -> str:
         return format_poly(a)
+
+    def random_element(self, rng, max_abs: int, max_degree: int) -> Poly:
+        # coefficients come from fixed ranges; max_abs bounds integers only
+        degree = rng.randint(0, max_degree)
+        return Poly([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)])
 
 
 INTEGERS = IntegerRing()
@@ -291,15 +323,9 @@ def divides(ring: Ring, a: RingElement, b: RingElement) -> bool:
 def canonical_generator(ring: Ring, gens) -> RingElement:
     """Collapse a generator list to the canonical principal generator.
 
-    Domains fold the canonical gcd (0 for the empty list); over Z_n the
-    integer lifts are gcd'd together with the modulus and reduced, so the
-    result always divides n and n itself normalizes to 0.
+    Folds the ring's canonical gcd, 0 for the empty list; over Z_n that
+    gcd takes in the modulus, so the result divides n and n normalizes to 0.
     """
-    if isinstance(ring, ModularRing):
-        g = ring.modulus
-        for x in gens:
-            g = math.gcd(g, ring.coerce(x))
-        return g % ring.modulus
     g = ring.zero
     for x in gens:
         g = ring.gcd(g, ring.coerce(x))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from fractions import Fraction as Q
 from itertools import product
 from typing import Callable
 
@@ -63,6 +62,7 @@ from .ideals import (
     Ideal,
     Morphism,
     _raw_morphism,
+    _require_same_ring,
     apply,
     compose,
     contains_element,
@@ -83,15 +83,15 @@ from .ideals import (
     morphism_new,
     zero_morphism,
 )
-from .poly import Poly
-from .rings import ModularRing, RationalPolynomialRing, Ring
+from .rings import Ring
 
 
 @dataclass(frozen=True)
 class Bounds:
     """Sampling and enumeration configuration for the verifier.
 
-    ``max_abs`` bounds sampled integer generators and multiplier factors,
+    ``max_abs`` bounds sampled integer generators and multiplier factors
+    over ``z`` (``qpoly`` draws its coefficients from fixed ranges),
     ``samples`` the number of sampled cases per check over the infinite
     backends, and ``search_ceiling`` the largest modulus for which the
     exhaustive cokernel/biproduct searches run during verify_ring.
@@ -208,8 +208,8 @@ def law_mutations() -> dict[str, LawTable]:
 FunctionTable = tuple[tuple[int, int], ...]
 
 
-def _require_modular(ring: Ring) -> ModularRing:
-    if not isinstance(ring, ModularRing):
+def _require_finite(ring: Ring) -> Ring:
+    if not ring.characteristic:
         raise RingMismatch(f"exhaustive enumeration needs Z_n, got {ring}")
     return ring
 
@@ -222,10 +222,9 @@ def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     literal additivity and homogeneity over every element pair. This never
     touches the Morphism machinery.
     """
-    ring = _require_modular(A.ring)
-    if A.ring != B.ring:
-        raise RingMismatch(f"mixed rings {A.ring} and {B.ring}")
-    n = ring.modulus
+    ring = _require_finite(A.ring)
+    _require_same_ring(A, B)
+    n = ring.characteristic
     a = A.generator
     if a == 0:
         return [((0, 0),)]
@@ -268,7 +267,7 @@ class _FiniteWorld:
 
     triples_are_chains = False
 
-    def __init__(self, ring: ModularRing, laws: LawTable):
+    def __init__(self, ring: Ring, laws: LawTable):
         self.ring = ring
         self.laws = laws
         self.objects = enumerate_objects(ring)
@@ -339,18 +338,10 @@ class _SampledWorld:
         self.rng = random.Random(f"{bounds.seed}:{ring.literal}:{mode}")
 
     def random_element(self, nonzero: bool = False):
-        rng, ring = self.rng, self.ring
-        if isinstance(ring, RationalPolynomialRing):
-            while True:
-                degree = rng.randint(0, self.bounds.max_degree)
-                coeffs = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)]
-                p = Poly(coeffs)
-                if not (nonzero and p.is_zero):
-                    return p
         while True:
-            k = rng.randint(-self.bounds.max_abs, self.bounds.max_abs)
-            if not (nonzero and k == 0):
-                return k
+            x = self.ring.random_element(self.rng, self.bounds.max_abs, self.bounds.max_degree)
+            if not (nonzero and self.ring.is_zero(x)):
+                return x
 
     def random_ideal(self, nonzero: bool = False) -> Ideal:
         if not nonzero and self.rng.random() < 0.1:
@@ -868,7 +859,7 @@ def check_axioms(
     """Run every axiom check for one ring; failures become report entries."""
     bounds = bounds or Bounds()
     laws = laws or STANDARD_LAWS
-    exhaustive = isinstance(ring, ModularRing)
+    exhaustive = ring.characteristic > 0
     world = _FiniteWorld(ring, laws) if exhaustive else _SampledWorld(ring, bounds, mode, laws)
     report = Report(ring)
     for name, finite_law, sampled_law in _CHECKS:
@@ -912,7 +903,7 @@ def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
 def search_cokernel(f: Morphism) -> list[CokernelPair]:
     """Every (E, p) satisfying the full cokernel universal property, by
     exhaustive search over the Z_n category."""
-    ring = _require_modular(f.dom.ring)
+    ring = _require_finite(f.dom.ring)
     return _search_cokernel(_FiniteWorld(ring, STANDARD_LAWS), f)
 
 
@@ -955,9 +946,8 @@ def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
 def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
     """Every tuple satisfying both universal properties, by exhaustive
     search over the Z_n category."""
-    ring = _require_modular(A.ring)
-    if A.ring != B.ring:
-        raise RingMismatch(f"mixed rings {A.ring} and {B.ring}")
+    ring = _require_finite(A.ring)
+    _require_same_ring(A, B)
     return _search_biproduct(_FiniteWorld(ring, STANDARD_LAWS), A, B)
 
 
@@ -968,7 +958,7 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
     is a failure); constructions the search certifies but the rules refuse
     are emitted as ``discrepancy`` entries with the found witnesses.
     """
-    w = _FiniteWorld(_require_modular(ring), STANDARD_LAWS)
+    w = _FiniteWorld(_require_finite(ring), STANDARD_LAWS)
     entries: list[CheckResult] = []
 
     agreement = None
@@ -1039,6 +1029,6 @@ def verify_ring(
     """check_axioms plus, for Z_n within the search ceiling, the audits."""
     bounds = bounds or Bounds()
     report = check_axioms(ring, bounds, mode, laws)
-    if isinstance(ring, ModularRing) and ring.modulus <= bounds.search_ceiling:
+    if 0 < ring.characteristic <= bounds.search_ceiling:
         report.checks.extend(audit_existence(ring))
     return report

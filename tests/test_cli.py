@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import idealcat
+from idealcat.errors import ParseError
 from idealcat.formats import (
     ideal_from_json,
     ideal_to_json,
@@ -235,6 +236,21 @@ def test_morphism_round_trip(ring_lit, morphism_lit):
     f = parse_morphism(ring, morphism_lit)
     assert parse_morphism(ring, f.literal) == f
     assert morphism_from_json(morphism_to_json(f)) == f
+
+
+@pytest.mark.parametrize(
+    "decode,payload",
+    [
+        (ideal_from_json, "{}"),
+        (ideal_from_json, '{"ring":"z","gen":5}'),
+        (ideal_from_json, '{"ring":6,"gen":"1"}'),
+        (morphism_from_json, '{"dom":{"ring":"z","gen":"2"}}'),
+        (morphism_from_json, "[1,2]"),
+    ],
+)
+def test_malformed_json_payloads_raise_parse_error(decode, payload):
+    with pytest.raises(ParseError):
+        decode(json.loads(payload))
 
 
 def test_parsed_ideal_is_normalized():

@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +35,7 @@ from idealcat.ideals import (
     is_inclusion,
     is_mono,
     is_subideal,
+    kernel_generator,
     morphism_new,
     zero_morphism,
 )
@@ -226,6 +230,41 @@ def test_enumerate_objects():
     assert [A.literal for A in enumerate_objects(ModularRing(4))] == ["<0>", "<1>", "<2>"]
     with pytest.raises(InfiniteObjectClass):
         enumerate_objects(Z)
+
+
+def test_enumerate_objects_pairs_divisors_up_to_the_square_root():
+    for n in range(2, 2001):
+        scan = sorted(d % n for d in range(1, n + 1) if n % d == 0)
+        assert [A.generator for A in enumerate_objects(ModularRing(n))] == scan
+    start = time.perf_counter()
+    objects = enumerate_objects(ModularRing(10**12))  # 2^12 * 5^12: 13 * 13 divisors
+    assert time.perf_counter() - start < 10  # a scan of all n candidates takes hours
+    assert len(objects) == 169
+    assert objects[0].is_zero and objects[1].generator == 1
+    assert objects[-1].generator == 5 * 10**11
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_zmod_operations_match_integer_formulas(n):
+    """Every morphism of Z_n against formulas on plain integer residues."""
+    ring = ModularRing(n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]  # d = n stands for <0>
+    for a in divisors:
+        dom_elements = range(0, n, a)
+        for b in divisors:
+            A, B = ideal_new(ring, [a]), ideal_new(ring, [b])
+            assert intersect(A, B).generator == math.lcm(a, b) % n
+            homs = enumerate_hom(A, B).elements
+            # a map is fixed by the image y of a, with y in <b> and (n/a)*y = 0
+            assert len(homs) == sum((n // a) * y % n == 0 for y in range(0, n, b))
+            for f in homs:
+                s = f.multiplier.num
+                values = [(x * s) % n for x in dom_elements]
+                assert [apply(f, x) for x in dom_elements] == values
+                assert image(f).generator == math.gcd(a * s, n) % n
+                zero_set = [x for x, y in zip(dom_elements, values) if y == 0]
+                assert kernel_generator(f) == math.gcd(n, *zero_set) % n
+                assert is_epi(f) == (set(values) == set(range(0, n, b)))
 
 
 def test_enumerate_hom_zmod():

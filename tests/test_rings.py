@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idealcat.errors import ParseError
+from idealcat.ideals import ideal_new, morphism_new
 from idealcat.poly import Poly, parse_poly
 from idealcat.rings import (
     INTEGERS,
@@ -150,6 +151,16 @@ def test_combination_witness_polynomials(gens):
     for c, x in zip(w, gens):
         acc = acc + c * x
     assert acc == g
+
+
+@pytest.mark.parametrize("ring", [Z, Z6, QX], ids=str)
+@pytest.mark.parametrize("value", [True, False, "x", 2.5])
+def test_coerce_rejects_non_elements_and_bools(ring, value):
+    # a bool multiplier used to render as rho(2;True;1), which does not parse back
+    with pytest.raises(TypeError):
+        ring.coerce(value)
+    with pytest.raises(TypeError):
+        morphism_new(ideal_new(ring, [2]), ideal_new(ring, [1]), value)
 
 
 @given(st.integers(0, 5), st.integers(0, 5))
