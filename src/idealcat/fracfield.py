@@ -6,6 +6,12 @@ form: gcd(num, den) is a unit, the denominator is the canonical associate
 denominator is always the unit 1; there are no genuine fractions over a
 non-domain.
 
+fraction_reduce skips work that cannot change the result: over a
+denominator of 1 it returns at once, when either side is a unit (a
+nonzero constant polynomial, or +-1) the gcd is a unit and is not
+computed, and a gcd of 1 or a denominator that is already canonical
+divides nothing.
+
 Text form: ``p`` or ``p/q``. A ring whose element literals contain ``/``
 (qpoly's rational coefficients) sets ``parenthesized_fractions``, and
 then both parts are parenthesized: ``(x+1)/(x-1)``.
@@ -106,10 +112,17 @@ def fraction_reduce(ring: Ring, num, den) -> Fraction:
         return Fraction(ring, num, ring.one)
     if ring.is_zero(num):
         return Fraction(ring, ring.zero, ring.one)
-    g = ring.gcd(num, den)
-    num = ring.exact_div(num, g)
-    den = ring.exact_div(den, g)
+    one = ring.one
+    if den == one:
+        return Fraction(ring, num, one)
+    if not (ring.is_unit(num) or ring.is_unit(den)):
+        g = ring.gcd(num, den)
+        if g != one:
+            num = ring.exact_div(num, g)
+            den = ring.exact_div(den, g)
     u = ring.canonical_unit(den)
+    if u == one:
+        return Fraction(ring, num, den)
     return Fraction(ring, ring.exact_div(num, u), ring.exact_div(den, u))
 
 

@@ -1,117 +1,194 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials with exact rational coefficients, computed
+fraction-free.
 
-Coefficients are stored low degree first as `fractions.Fraction` values
-with no trailing zeros, so the zero polynomial is the empty tuple and the
-leading coefficient is otherwise nonzero. Values are immutable by
-convention; all arithmetic returns fresh polynomials, making them safe to
-share across threads.
+A nonzero polynomial is stored as its content c, a `fractions.Fraction`,
+times a primitive integer polynomial P: the coefficients of P, low degree
+first, are ints with gcd 1, no trailing zero and a positive leading one.
+That split is unique, so equality and hashing compare (P, c) directly; the
+zero polynomial is ((), 0). Sums and products are integer convolutions or
+scalings of P plus one rational operation on c; a product of primitive
+polynomials is primitive (Gauss's lemma), so products need no gcd at all.
+Division is integer pseudo-division (Knuth, TAOCP vol. 2, Algorithm
+4.6.1R), and a degree-0 divisor only rescales the content. Every remainder
+is taken back to its primitive part, so Euclid's algorithm over
+``divmod`` runs as the primitive polynomial remainder sequence (Collins
+1967; Brown 1971) and its integer coefficients do not grow.
+
+``coeffs`` is the coefficient tuple as `fractions.Fraction` values, low
+degree first with no trailing zeros, so the zero polynomial is the empty
+tuple; it is computed on first use. Values are immutable by convention;
+all arithmetic returns fresh polynomials, making them safe to share
+across threads.
 
 The text form is dense with explicit coefficients, highest degree first:
 ``3/2x^2-1x+5`` denotes (3/2)x^2 - x + 5. The parser also accepts omitted
 unit coefficients (``x^2-x``) and explicit unit denominators (``5/1``);
-the formatter always emits the numeral and omits unit denominators.
+the formatter always emits the numeral and omits unit denominators. A
+literal may not name a degree above MAX_LITERAL_DEGREE, since a dense
+polynomial of that degree is built from it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import ParseError
 
 _TERM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?(x(?:\^(\d+))?)?")
 
+MAX_LITERAL_DEGREE = 4096
+_ZERO_Q = Q(0)
+
 
 class Poly:
-    """A polynomial over the rationals.
+    """A polynomial over the rationals: content ``_ct`` times the primitive
+    integer polynomial ``_ic``.
 
-    Invariant: ``coeffs`` carries no trailing zero, so ``()`` is the unique
-    zero polynomial and ``coeffs[-1] != 0`` otherwise.
+    Invariant: ``_ic`` is empty with ``_ct == 0`` for the zero polynomial;
+    otherwise its ints have gcd 1, the last is positive and ``_ct != 0``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ic", "_ct", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Q | int] = ()):
         cs = [c if isinstance(c, Q) else Q(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
+        if not cs:
+            self._ic, self._ct = (), _ZERO_Q
+            return
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        g = gcd(*nums)
+        if nums[-1] < 0:
+            g = -g
+        self._ic = tuple(n // g for n in nums)
+        self._ct = Q(g, den)
 
     @classmethod
     def const(cls, value) -> Poly:
-        return cls((Q(value),))
+        c = Q(value)
+        return _poly((1,), c) if c else _ZERO
+
+    @property
+    def coeffs(self) -> tuple[Q, ...]:
+        if self._coeffs is None:
+            ct = self._ct
+            num, den = ct.numerator, ct.denominator
+            self._coeffs = tuple(Q(num * a, den) if a else _ZERO_Q for a in self._ic)
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ic
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._ic) - 1
 
     @property
     def leading(self) -> Q:
-        return self.coeffs[-1] if self.coeffs else Q(0)
+        return self._ct * self._ic[-1] if self._ic else _ZERO_Q
 
     def coefficient(self, k: int) -> Q:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q(0)
+        return self.coeffs[k] if 0 <= k < len(self._ic) else _ZERO_Q
 
     def monic(self) -> Poly:
-        if self.is_zero or self.leading == 1:
+        if not self._ic:
             return self
-        lead = self.leading
-        return Poly(c / lead for c in self.coeffs)
+        lead = self._ic[-1]
+        if self._ct.numerator * lead == self._ct.denominator:
+            return self
+        return _poly(self._ic, Q(1, lead))
 
     def evaluate(self, point: Q | int) -> Q:
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        acc = 0
+        for a in reversed(self._ic):
+            acc = acc * point + a
+        return self._ct * acc
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ic)
 
     def __add__(self, other: Poly) -> Poly:
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ic, other._ic
+        if not a:
+            return other
+        if not b:
+            return self
+        ca, cb = self._ct, other._ct
+        # ca*A + cb*B = (fa*A + fb*B) / den over the least common denominator
+        g = gcd(ca.denominator, cb.denominator)
+        fa = ca.numerator * (cb.denominator // g)
+        fb = cb.numerator * (ca.denominator // g)
+        den = ca.denominator // g * cb.denominator
         if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+            a, b, fa, fb = b, a, fb, fa
+        out = [fa * x + fb * y for x, y in zip(a, b)]
+        out += [fa * x for x in a[len(b):]]
+        return _normalized(out, 1, den)
 
     def __neg__(self) -> Poly:
-        return Poly(-c for c in self.coeffs)
+        return _poly(self._ic, -self._ct) if self._ic else self
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self._ic, other._ic
+        if not a or not b:
+            return _ZERO
+        ct = self._ct * other._ct
+        if len(a) == 1:  # a primitive constant is 1
+            return _poly(b, ct)
+        if len(b) == 1:
+            return _poly(a, ct)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _poly(tuple(out), ct)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        if other.is_zero:
+        b = other._ic
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly(), self
-        rem = list(self.coeffs)
-        den = other.coeffs
-        inv = 1 / den[-1]
-        quot = [Q(0)] * (len(rem) - len(den) + 1)
+        a = self._ic
+        if len(a) < len(b):
+            return _ZERO, self
+        ca, cb = self._ct, other._ct
+        if len(b) == 1:
+            return _poly(a, ca / cb), _ZERO
+        # Pseudo-division of A by B, scaling the remainder by the leading
+        # coefficient lead only when lead does not divide its top term:
+        # scale*A = quot*B + rem.
+        rem = list(a)
+        lead, n = b[-1], len(b) - 1
+        quot = [0] * (len(a) - n)
+        scale = 1
         for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + len(den) - 1] * inv
+            top = rem[k + n]
+            if top % lead:
+                rem = [lead * r for r in rem]
+                quot = [lead * q for q in quot]
+                scale *= lead
+                c = top
+            else:
+                c = top // lead
             quot[k] = c
             if c:
-                for i, d in enumerate(den):
+                for i, d in enumerate(b):
                     rem[k + i] -= c * d
-        return Poly(quot), Poly(rem[: len(den) - 1])
+        del rem[n:]
+        # self = (ca/cb) * (quot/scale) * other + ca * rem / scale
+        quotient = _normalized(quot, ca.numerator * cb.denominator,
+                               ca.denominator * cb.numerator * scale)
+        return quotient, _normalized(rem, ca.numerator, ca.denominator * scale)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -120,16 +197,41 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._ic == other._ic and self._ct == other._ct
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._ic, self._ct))
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _poly(ic: tuple[int, ...], ct: Q) -> Poly:
+    """The polynomial ct * ic; ic must already be primitive with a positive
+    leading coefficient and ct nonzero."""
+    p = object.__new__(Poly)
+    p._ic, p._ct, p._coeffs = ic, ct, None
+    return p
+
+
+def _normalized(ints: list[int], num: int, den: int) -> Poly:
+    """The polynomial (num/den) * ints, for any integer list ints."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _ZERO
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return _poly(tuple(ints), Q(num * g, den))
+
+
+_ZERO = Poly()
 
 
 def format_poly(p: Poly) -> str:
@@ -150,7 +252,17 @@ def format_poly(p: Poly) -> str:
     return "".join(parts)
 
 
+def _degree(exp: str, text: str) -> int:
+    digits = exp.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_LITERAL_DEGREE)) or int(digits) > MAX_LITERAL_DEGREE:
+        raise ParseError(f"degree {digits} in polynomial literal {text[:40]!r} is above "
+                         f"the limit {MAX_LITERAL_DEGREE}")
+    return int(digits)
+
+
 def parse_poly(text: str) -> Poly:
+    """Parse the dense text form; a degree above MAX_LITERAL_DEGREE is a
+    ParseError."""
     compact = "".join(text.split())
     if not compact:
         raise ParseError("empty polynomial literal")
@@ -165,12 +277,17 @@ def parse_poly(text: str) -> Poly:
         sign, num, den, xpart, exp = m.groups()
         if num is None and xpart is None:
             raise ParseError(f"bad polynomial literal {text!r} at {compact[pos:]!r}")
-        if den is not None and int(den) == 0:
+        try:  # int() refuses more than sys.get_int_max_str_digits() digits
+            c_num = int(num) if num is not None else 1
+            c_den = int(den) if den is not None else 1
+        except ValueError:
+            raise ParseError(f"too many digits in polynomial literal {text[:40]!r}") from None
+        if c_den == 0:
             raise ParseError(f"zero denominator in polynomial literal {text!r}")
-        c = Q(int(num) if num is not None else 1, int(den) if den is not None else 1)
+        c = Q(c_num, c_den)
         if sign == "-":
             c = -c
-        deg = 0 if xpart is None else (1 if exp is None else int(exp))
+        deg = 0 if xpart is None else (1 if exp is None else _degree(exp, text))
         coeffs[deg] = coeffs.get(deg, Q(0)) + c
         pos = m.end()
     top = max(coeffs)

@@ -36,7 +36,7 @@ class Ring:
         return (type(self).__name__,)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ring) and self._key() == other._key()
+        return self is other or (isinstance(other, Ring) and self._key() == other._key())
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -102,6 +102,9 @@ class IntegerRing(Ring):
 
     def canonical_unit(self, a: int) -> int:
         return -1 if a < 0 else 1
+
+    def is_unit(self, a: int) -> bool:
+        return a == 1 or a == -1
 
     def exact_div(self, a: int, b: int) -> int:
         q, r = divmod(a, b)
@@ -223,7 +226,7 @@ class RationalPolynomialRing(Ring):
         if isinstance(value, Poly):
             return value
         if type(value) in (int, Q):
-            return Poly((Q(value),))
+            return Poly.const(value)
         raise TypeError(f"not a polynomial element: {value!r}")
 
     def add(self, a: Poly, b: Poly) -> Poly:
@@ -242,7 +245,10 @@ class RationalPolynomialRing(Ring):
         return a.monic()
 
     def canonical_unit(self, a: Poly) -> Poly:
-        return Poly((a.leading,)) if not a.is_zero else self.one
+        return Poly.const(a.leading) if not a.is_zero else self.one
+
+    def is_unit(self, a: Poly) -> bool:
+        return a.degree == 0
 
     def exact_div(self, a: Poly, b: Poly) -> Poly:
         q, r = divmod(a, b)

@@ -336,6 +336,7 @@ class _SampledWorld:
         self.mode = mode
         self.laws = laws
         self.rng = random.Random(f"{bounds.seed}:{ring.literal}:{mode}")
+        self.bases: dict[tuple[Ideal, Ideal], Fraction] = {}
 
     def random_element(self, nonzero: bool = False):
         while True:
@@ -348,8 +349,15 @@ class _SampledWorld:
             return ideal_new(self.ring)
         return ideal_new(self.ring, [self.random_element(nonzero=True)])
 
+    def hom_base(self, A: Ideal, B: Ideal) -> Fraction:
+        """enumerate_hom(A, B).base, computed once per pair in this world."""
+        base = self.bases.get((A, B))
+        if base is None:
+            base = self.bases[(A, B)] = enumerate_hom(A, B, self.mode).base
+        return base
+
     def hom_element(self, A: Ideal, B: Ideal, factor=None) -> Morphism:
-        base = enumerate_hom(A, B, self.mode).base
+        base = self.hom_base(A, B)
         if factor is None:
             factor = self.random_element()
         scaled = base * Fraction.from_element(self.ring, self.ring.coerce(factor))
@@ -751,7 +759,7 @@ def _smp_kernel_universal(w: _SampledWorld):
         h = morphism_new(K2, K, j2.multiplier)
         if compose(j, h) != j2:
             return {"f": f.literal, "j'": j2.literal, "law": "existence"}
-        base = enumerate_hom(K2, K, w.mode).base
+        base = w.hom_base(K2, K)
         for k in (1, 2, -1):
             shift = base * Fraction.from_element(w.ring, w.ring.coerce(k))
             if shift.is_zero:

@@ -189,6 +189,19 @@ def test_verify_rejects_max_abs_below_one(max_abs):
     assert "--max-abs must be at least 1" in proc.stderr
 
 
+def test_apply_rejects_a_polynomial_degree_above_the_limit():
+    # In a child process with a timeout: x^100000000 once built 10^8 coefficients.
+    src = str(Path(idealcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "idealcat.cli", "apply", "--ring", "qpoly",
+         "rho(1;x^100000000;1)", "1"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    assert "above the limit 4096" in proc.stderr
+
+
 def test_paper_mode_rejects_fraction_literal(run_cli):
     code, _ = run_cli("kernel", "--ring", "z", "rho(2;3/2;3)", "--mode", "paper")
     assert code == 1

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 from idealcat.errors import FractionOverNonDomain, ParseError, RingMismatch, ZeroDenominator
 from idealcat.fracfield import Fraction, format_fraction, fraction_reduce, parse_fraction
-from idealcat.poly import parse_poly
+from idealcat.poly import Poly, parse_poly
 from idealcat.rings import INTEGERS, RATIONAL_POLYNOMIALS, ModularRing
+from reference_poly import Poly as RefPoly
 
 Z = INTEGERS
 QX = RATIONAL_POLYNOMIALS
@@ -93,3 +95,63 @@ def test_parse_rejects_garbage():
     for ring, text in [(Z, ""), (Z, "3//2"), (QX, "(x+1)/x-1)"), (Z, "a/b")]:
         with pytest.raises(ParseError):
             parse_fraction(ring, text)
+
+
+# --- qpoly reduction against the Fraction-coefficient reference -------------
+
+poly_coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+coefficient_lists = st.lists(poly_coefficients, max_size=4)
+nonzero_lists = coefficient_lists.filter(lambda cs: any(cs))
+constants = st.lists(poly_coefficients.filter(bool), min_size=1, max_size=1)
+
+
+def ref_reduce(num: RefPoly, den: RefPoly) -> tuple:
+    """num/den in lowest terms with a monic denominator, by the reference
+    Poly's Euclid: the reduction the library made before it went fraction-free."""
+    if num.is_zero:
+        return (), (Q(1),)
+    a, b = num, den
+    while not b.is_zero:
+        a, b = b, a % b
+    g = a.monic()
+    num, den = num // g, den // g
+    lead = den.leading
+    return tuple(c / lead for c in num.coeffs), den.monic().coeffs
+
+
+def check_reduce(num_cs, den_cs):
+    f = fraction_reduce(QX, Poly(num_cs), Poly(den_cs))
+    assert (f.num.coeffs, f.den.coeffs) == ref_reduce(RefPoly(num_cs), RefPoly(den_cs))
+    assert all(type(c) is Q for c in f.num.coeffs + f.den.coeffs)
+
+
+@given(coefficient_lists, nonzero_lists)
+def test_qpoly_reduce_matches_reference(num_cs, den_cs):
+    check_reduce(num_cs, den_cs)
+
+
+@given(coefficient_lists)
+def test_qpoly_reduce_over_one_returns_the_numerator(num_cs):
+    check_reduce(num_cs, [1])
+    assert fraction_reduce(QX, Poly(num_cs), QX.one).num == Poly(num_cs)
+
+
+@given(coefficient_lists, constants)
+def test_qpoly_reduce_with_a_constant_side(cs, const):
+    check_reduce(cs, const)  # constant denominator: the gcd is a unit
+    if any(cs):
+        check_reduce(const, cs)  # constant numerator
+
+
+@given(nonzero_lists.filter(lambda cs: len(RefPoly(cs).coeffs) > 1),
+       coefficient_lists, nonzero_lists)
+def test_qpoly_reduce_cancels_a_common_factor(g_cs, a_cs, b_cs):
+    g, a, b = RefPoly(g_cs), RefPoly(a_cs), RefPoly(b_cs)
+    check_reduce((g * a).coeffs, (g * b).coeffs)
+
+
+def test_qpoly_reduce_examples():
+    check_reduce([0, 2], [Q(2, 3)])  # 2x / (2/3) = 3x
+    check_reduce([Q(1, 2)], [-1, 1])  # (1/2) / (x - 1)
+    check_reduce([-1, 0, 1], [-2, 2])  # (x^2 - 1) / (2x - 2) = (x + 1)/2
+    check_reduce([1, 1], [-1, 0, 1])  # (x + 1) / (x^2 - 1) = 1/(x - 1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idealcat.errors import ParseError
-from idealcat.poly import Poly, format_poly, parse_poly
+from idealcat.poly import MAX_LITERAL_DEGREE, Poly, format_poly, parse_poly
+from reference_poly import Poly as RefPoly
+from reference_poly import format_poly as ref_format
+from reference_poly import parse_poly as ref_parse
 
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 polys = st.builds(Poly, st.lists(coefficients, max_size=5))
@@ -88,3 +92,95 @@ def test_monic_is_canonical(p):
     else:
         assert m.leading == 1
         assert m.monic() == m
+
+
+# --- against the Fraction-coefficient reference (tests/reference_poly.py) ----
+
+wide_coefficients = st.one_of(
+    coefficients,
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6),
+)
+wide_polys = st.lists(wide_coefficients, max_size=8)
+small_polys = st.lists(st.sampled_from([Q(0), Q(1), Q(-1), Q(1, 2), Q(2)]), max_size=3)
+
+
+def same(p: Poly, ref: RefPoly) -> bool:
+    """p equals ref, p keeps its invariant and coeffs stays a Fraction tuple."""
+    ints = p._ic
+    primitive = not ints or (math.gcd(*ints) == 1 and ints[-1] > 0 and p._ct != 0)
+    return (primitive and type(p.coeffs) is tuple
+            and all(type(c) is Q for c in p.coeffs) and p.coeffs == ref.coeffs)
+
+
+def test_invariant_examples():
+    p = Poly((Q(1, 2), Q(-3, 4), Q(-5, 6)))
+    assert p._ic == (-6, 9, 10) and p._ct == Q(-1, 12)
+    assert Poly()._ic == () and Poly()._ct == 0
+    assert Poly.const(Q(-2, 3))._ic == (1,) and Poly.const(0).is_zero
+
+
+@given(wide_polys, wide_polys)
+def test_arithmetic_matches_reference(a, b):
+    p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    assert same(p, rp) and same(q, rq)
+    assert same(p + q, rp + rq)
+    assert same(p - q, rp - rq)
+    assert same(-p, -rp)
+    assert same(p * q, rp * rq)
+    assert same(p.monic(), rp.monic())
+    assert p.degree == rp.degree and p.leading == rp.leading
+    assert all(p.coefficient(k) == rp.coefficient(k) for k in range(-1, len(a) + 1))
+    assert p.evaluate(Q(-3, 2)) == rp.evaluate(Q(-3, 2)) and p.evaluate(2) == rp.evaluate(2)
+
+
+@given(wide_polys, wide_polys)
+def test_divmod_matches_reference(a, b):
+    p, q, rp, rq = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    if q.is_zero:
+        return
+    quot, rem = divmod(p, q)
+    ref_quot, ref_rem = divmod(rp, rq)
+    assert same(quot, ref_quot) and same(rem, ref_rem)
+    assert same(p // q, ref_quot) and same(p % q, ref_rem)
+
+
+@given(st.lists(wide_coefficients, min_size=1, max_size=4),
+       st.lists(wide_coefficients, min_size=2, max_size=4).filter(lambda cs: cs[-1]),
+       st.lists(wide_coefficients, max_size=3))
+def test_divmod_recovers_a_planted_quotient(qs, bs, rs):
+    # a = q*b + r with deg r < deg b, so divmod(a, b) must return (q, r) exactly
+    b, r = RefPoly(bs), RefPoly(rs[: len(bs) - 1])
+    a = RefPoly(qs) * b + r
+    quot, rem = divmod(Poly(a.coeffs), Poly(bs))
+    assert same(quot, RefPoly(qs)) and same(rem, r)
+
+
+@given(small_polys, small_polys)
+def test_equality_and_hash_match_reference(a, b):
+    p, q = Poly(a), Poly(b)
+    assert (p == q) == (RefPoly(a) == RefPoly(b))
+    if p == q:
+        assert hash(p) == hash(q)
+    assert p == Poly(p.coeffs) and hash(p) == hash(Poly(p.coeffs))
+    assert p * Poly((1,)) == p and hash(p * Poly((1,))) == hash(p)
+
+
+@given(wide_polys)
+def test_text_form_matches_reference(a):
+    p, rp = Poly(a), RefPoly(a)
+    text = format_poly(p)
+    assert text == ref_format(rp)
+    assert same(parse_poly(text), ref_parse(text))
+
+
+def test_parse_caps_the_literal_degree():
+    assert parse_poly(f"x^{MAX_LITERAL_DEGREE}").degree == MAX_LITERAL_DEGREE
+    assert parse_poly(f"x^000{MAX_LITERAL_DEGREE}").degree == MAX_LITERAL_DEGREE
+    for bad in (f"x^{MAX_LITERAL_DEGREE + 1}", "x^100000000", "1+x^" + "9" * 5000):
+        with pytest.raises(ParseError, match="above the limit"):
+            parse_poly(bad)
+
+
+def test_parse_rejects_coefficients_int_cannot_read():
+    with pytest.raises(ParseError, match="too many digits"):
+        parse_poly("7" * 5000 + "x")

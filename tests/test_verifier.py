@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from idealcat.ideals import (
 )
 from idealcat.rings import INTEGERS, RATIONAL_POLYNOMIALS, ModularRing
 from idealcat.verifier import (
+    STANDARD_LAWS,
     Bounds,
     brute_force_hom_set,
     check_axioms,
@@ -221,3 +224,54 @@ def test_morphism_tables_injective_all_n_10():
         morphisms = all_morphisms(ring)
         tables = {(f.dom, f.cod, morphism_table(f)) for f in morphisms}
         assert len(tables) == len(morphisms)
+
+
+# sha256 of json.dumps(verify_ring(qpoly, Bounds(seed=s)).to_json(), sort_keys=True),
+# recorded with the Fraction-coefficient Poly that tests/reference_poly.py keeps. A
+# passing report holds no drawn value, so the digest is the same for every seed.
+QPOLY_REPORT_SHA256 = "aa17937a31a5b9f556621cb8a0b8b5b2d92e7b23ac6da214f2d415a6522e27bf"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_qpoly_report_matches_the_recorded_digest(seed):
+    report = verify_ring(RATIONAL_POLYNOMIALS, Bounds(seed=seed)).to_json()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == QPOLY_REPORT_SHA256
+
+
+# sha256 over the literal of every law result (compose, add, kernel, factorize,
+# split) in the order verify_ring computes them, recorded with the
+# Fraction-coefficient Poly: this pins the drawn values that a report leaves out.
+QPOLY_LAW_TRACE_SHA256 = {
+    (FULL, 0): "361f844616781479a82468418b208555c684b638923a066196b2e36f75c9c8f4",
+    (FULL, 1): "effed4f4cda85eca79661a2ab2552e266e47cdab71e6cf3f8023d8283fc8f77d",
+    (FULL, 2): "d187fcd739818e861eeeff5afa1362e86f41c4d2fff9ef3ee9a2b4c55a24ee9a",
+    (PAPER, 0): "345c43c46189786c66158f9a8917c7d833224b08f051935c398884b94fa41401",
+    (PAPER, 1): "f0969f5a981b432c4c39e38a9a5027b36e8562341d9c96317a2e92117ea745b0",
+    (PAPER, 2): "f13784218697e20144bd71d52d352a46b50f65c8d5fc1edcb7aa34db3d75fa03",
+}
+
+
+def _literal(x) -> str:
+    if hasattr(x, "literal"):
+        return x.literal
+    if isinstance(x, tuple):
+        return "(" + ",".join(_literal(y) for y in x) + ")"
+    return repr(x)
+
+
+@pytest.mark.parametrize("mode,seed", sorted(QPOLY_LAW_TRACE_SHA256))
+def test_qpoly_law_results_match_the_recorded_trace(mode, seed):
+    h = hashlib.sha256()
+
+    def logged(law):
+        def run(*args):
+            out = law(*args)
+            h.update(_literal(out).encode() + b"\n")
+            return out
+        return run
+
+    laws = replace(STANDARD_LAWS, **{name: logged(getattr(STANDARD_LAWS, name)) for name in
+                                     ("compose", "add", "kernel", "factorize", "split")})
+    verify_ring(RATIONAL_POLYNOMIALS, Bounds(seed=seed, samples=100), mode, laws)
+    assert h.hexdigest() == QPOLY_LAW_TRACE_SHA256[(mode, seed)]
