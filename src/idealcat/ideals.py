@@ -20,6 +20,7 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -298,9 +299,9 @@ def enumerate_hom(A: Ideal, B: Ideal, mode: str = FULL) -> HomSet:
             return HomSet(A, B, Fraction.zero(ring), 1, (zero_morphism(A, B),))
         m = ring.characteristic // a
         base = (b // ring.gcd(a, b)) % m if b else 0
-        multipliers = sorted({(k * base) % m for k in range(m)})
-        elements = tuple(
-            _raw_morphism(A, B, Fraction(ring, s, ring.one)) for s in multipliers
+        elements = tuple(  # the multiples of base modulo m
+            _raw_morphism(A, B, Fraction(ring, s, ring.one))
+            for s in range(0, m, math.gcd(base, m))
         )
         return HomSet(A, B, Fraction(ring, base, ring.one), m, elements)
     if A.is_zero or B.is_zero:

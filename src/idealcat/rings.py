@@ -17,7 +17,7 @@ import math
 from fractions import Fraction as Q
 
 from .errors import InfiniteObjectClass, ParseError
-from .poly import Poly, format_poly, parse_poly
+from .poly import MAX_LITERAL_DEGREE, Poly, parse_poly
 
 RingElement = int | Poly
 
@@ -68,6 +68,14 @@ class Ring:
     def ideal_generators(self) -> list:
         """The canonical generators of all ideals, sorted; finite rings only."""
         raise InfiniteObjectClass(f"{self} has infinitely many ideals")
+
+    def format_element(self, a) -> str:
+        """The literal of a, or a ParseError where parse_element would refuse
+        it: str() and int() share sys.get_int_max_str_digits()."""
+        try:
+            return str(a)
+        except ValueError:
+            raise ParseError(f"{self.literal} element with too many digits for a literal") from None
 
 
 class IntegerRing(Ring):
@@ -126,9 +134,6 @@ class IntegerRing(Ring):
             return int(text.strip())
         except ValueError:
             raise ParseError(f"bad integer literal {text!r}") from None
-
-    def format_element(self, a: int) -> str:
-        return str(a)
 
     def random_element(self, rng, max_abs: int, max_degree: int) -> int:
         return rng.randint(-max_abs, max_abs)
@@ -207,9 +212,6 @@ class ModularRing(Ring):
         except ValueError:
             raise ParseError(f"bad residue literal {text!r}") from None
 
-    def format_element(self, a: int) -> str:
-        return str(a)
-
 
 class RationalPolynomialRing(Ring):
     """Polynomials over the exact rationals; canonical associates are monic."""
@@ -266,7 +268,9 @@ class RationalPolynomialRing(Ring):
         return parse_poly(text)
 
     def format_element(self, a: Poly) -> str:
-        return format_poly(a)
+        if a.degree > MAX_LITERAL_DEGREE:
+            raise ParseError(f"degree {a.degree} is above the literal limit {MAX_LITERAL_DEGREE}")
+        return super().format_element(a)
 
     def random_element(self, rng, max_abs: int, max_degree: int) -> Poly:
         # coefficients come from fixed ranges; max_abs bounds integers only

@@ -11,12 +11,13 @@ checked as left and right distributivity, each over triples; with zero in
 every hom-set that is equivalent to the quartic law.
 
 The brute-force oracle rebuilds hom-sets as raw linear function tables
-from first principles, independent of the Morphism machinery. The
-existence audits search Z_n exhaustively for cokernels and biproducts
-that the construction rules refuse: a construction the rule returns but
-the search rejects is a failure, while a construction the search certifies
-and the rule refuses is reported with status ``discrepancy`` and a
-machine-checkable witness, and does not fail the suite.
+from first principles, independent of the Morphism machinery. Over Z_n
+every universal property is one cone test, ``_universal``. The existence
+audits put each construction a rule returns through that test (a miss is
+a failure) and search Z_n exhaustively only where the rule refuses: a
+construction the search certifies there is reported with status
+``discrepancy`` and a machine-checkable witness, and does not fail the
+suite.
 
 ``law_mutations`` documents five single-law defects (composition,
 addition, kernel, factorization image, splitting corestriction); each is
@@ -28,6 +29,7 @@ only idempotents are 0 and 1, and on those the defect agrees with the rule.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable
@@ -410,10 +412,29 @@ class _SampledWorld:
         return [h] if compose(j, h) == target else []
 
 
-def _unique(hs, factors: Callable[[Morphism], bool]) -> bool:
-    """Whether exactly one h in hs satisfies factors(h); stops at a second."""
-    matches = filter(factors, hs)
-    return next(matches, None) is not None and next(matches, None) is None
+def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: bool,
+               admits: Callable[[tuple], bool] | None = None) -> tuple | None:
+    """The first admitted cone that the legs do not factor exactly once, or None.
+
+    Universality (Mac Lane, CWM III.1): at every object C, a limit's h -> (leg h)
+    maps hom(C, apex) one to one onto the admitted tuples of maps C -> cod leg,
+    and a colimit's h -> (h leg) maps hom(apex, C) onto those of dom leg -> C.
+    Hits are counted once per C; cones are visited object by object in hom-set
+    order, and ``admits`` (default: every cone) picks the cones that must be hit.
+    """
+    for C in w.objects:  # each leg's maps share dom and cod, so multipliers tell them apart
+        if limit:
+            hits = Counter(tuple(compose(leg, h).multiplier for leg in legs)
+                           for h in w.hom[(C, apex)])
+            cones = product(*(w.hom[(C, leg.cod)] for leg in legs))
+        else:
+            hits = Counter(tuple(compose(h, leg).multiplier for leg in legs)
+                           for h in w.hom[(apex, C)])
+            cones = product(*(w.hom[(leg.dom, C)] for leg in legs))
+        for cone in cones:
+            if hits[tuple(g.multiplier for g in cone)] != 1 and (admits is None or admits(cone)):
+                return cone
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +663,9 @@ def _fin_hom_oracle(w: _FiniteWorld):
 def _fin_kernel_universal(w: _FiniteWorld):
     for f in w.morphisms:
         K, j = w.laws.kernel(f)
-        for K2 in w.objects:
-            target = zero_morphism(K2, f.cod)
-            for j2 in w.hom[(K2, f.dom)]:
-                if compose(f, j2) == target and not _unique(
-                        w.hom[(K2, K)], lambda h: compose(j, h) == j2):
-                    return {"f": f.literal, "j'": j2.literal, "law": "unique factorization"}
+        cone = _universal(w, K, (j,), True, lambda c: compose(f, c[0]).is_zero)
+        if cone is not None:
+            return {"f": f.literal, "j'": cone[0].literal, "law": "unique factorization"}
     return None
 
 
@@ -659,7 +677,7 @@ def _fin_cokernel_universal(w: _FiniteWorld):
             continue
         if compose(p, f) != zero_morphism(f.dom, E):
             return {"f": f.literal, "law": "projection after f is zero"}
-        if not _has_cokernel_property(w, f, E, p):
+        if _universal(w, E, (p,), False, lambda c: compose(c[0], f).is_zero) is not None:
             return {"f": f.literal, "cokernel": E.literal, "law": "unique factorization"}
     return None
 
@@ -709,9 +727,9 @@ def _fin_biproduct(w: _FiniteWorld):
                     h = copair_from_coproduct(bp, g1, g2)
                     if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
                         return {"g1": g1.literal, "g2": g2.literal, "law": "copairing"}
-            if not _is_product(w, A, B, bp.object, bp.p1, bp.p2):
+            if _universal(w, bp.object, (bp.p1, bp.p2), True) is not None:
                 return {"A": A.literal, "B": B.literal, "law": "pairing uniqueness"}
-            if not _is_coproduct(w, A, B, bp.object, bp.i1, bp.i2):
+            if _universal(w, bp.object, (bp.i1, bp.i2), False) is not None:
                 return {"A": A.literal, "B": B.literal, "law": "copairing uniqueness"}
     return None
 
@@ -887,25 +905,16 @@ def check_axioms(
 # existence audits: exhaustive searches vs the construction rules
 
 
-def _has_cokernel_property(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
-    """Every q with q f = 0 factors through p in exactly one way."""
-    for E2 in w.objects:
-        target = zero_morphism(f.dom, E2)
-        for q in w.hom[(f.cod, E2)]:
-            if compose(q, f) == target and not _unique(
-                    w.hom[(E, E2)], lambda h: compose(h, p) == q):
-                return False
-    return True
+def _is_cokernel(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
+    """Whether p: cod f -> E is enumerated, kills f, and factors every map
+    that kills f exactly once: whether _search_cokernel lists (E, p)."""
+    return (p in w.members[(f.cod, E)] and compose(p, f).is_zero
+            and _universal(w, E, (p,), False, lambda c: compose(c[0], f).is_zero) is None)
 
 
 def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
-    found = []
-    for E in w.objects:
-        target = zero_morphism(f.dom, E)
-        for p in w.hom[(f.cod, E)]:
-            if compose(p, f) == target and _has_cokernel_property(w, f, E, p):
-                found.append(CokernelPair(E, p))
-    return found
+    return [CokernelPair(E, p) for E in w.objects for p in w.hom[(f.cod, E)]
+            if _is_cokernel(w, f, E, p)]
 
 
 def search_cokernel(f: Morphism) -> list[CokernelPair]:
@@ -915,40 +924,25 @@ def search_cokernel(f: Morphism) -> list[CokernelPair]:
     return _search_cokernel(_FiniteWorld(ring, STANDARD_LAWS), f)
 
 
-def _is_product(w: _FiniteWorld, A: Ideal, B: Ideal, P: Ideal, p1, p2) -> bool:
-    return all(
-        _unique(w.hom[(C, P)], lambda h: compose(p1, h) == f1 and compose(p2, h) == f2)
-        for C in w.objects
-        for f1, f2 in product(w.hom[(C, A)], w.hom[(C, B)])
-    )
-
-
-def _is_coproduct(w: _FiniteWorld, A: Ideal, B: Ideal, P: Ideal, i1, i2) -> bool:
-    return all(
-        _unique(w.hom[(P, C)], lambda h: compose(h, i1) == g1 and compose(h, i2) == g2)
-        for C in w.objects
-        for g1, g2 in product(w.hom[(A, C)], w.hom[(B, C)])
-    )
+def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
+    """Whether bp's maps are enumerated and both its cones are universal:
+    whether _search_biproduct lists bp."""
+    P = bp.object
+    maps = ((bp.p1, (P, A)), (bp.p2, (P, B)), (bp.i1, (A, P)), (bp.i2, (B, P)))
+    return (all(g in w.members[key] for g, key in maps)
+            and _universal(w, P, (bp.p1, bp.p2), True) is None
+            and _universal(w, P, (bp.i1, bp.i2), False) is None)
 
 
 def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
-    products = []
-    coproducts = []
+    found = []
     for P in w.objects:
-        for p1 in w.hom[(P, A)]:
-            for p2 in w.hom[(P, B)]:
-                if _is_product(w, A, B, P, p1, p2):
-                    products.append((P, p1, p2))
-        for i1 in w.hom[(A, P)]:
-            for i2 in w.hom[(B, P)]:
-                if _is_coproduct(w, A, B, P, i1, i2):
-                    coproducts.append((P, i1, i2))
-    return [
-        Biproduct(P, p1, p2, i1, i2)
-        for (P, p1, p2) in products
-        for (P2, i1, i2) in coproducts
-        if P == P2
-    ]
+        products = [(p1, p2) for p1, p2 in product(w.hom[(P, A)], w.hom[(P, B)])
+                    if _universal(w, P, (p1, p2), True) is None]
+        coproducts = [(i1, i2) for i1, i2 in product(w.hom[(A, P)], w.hom[(B, P)])
+                      if _universal(w, P, (i1, i2), False) is None]
+        found += [Biproduct(P, *ps, *cs) for ps in products for cs in coproducts]
+    return found
 
 
 def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
@@ -962,9 +956,9 @@ def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
 def audit_existence(ring: Ring) -> list[CheckResult]:
     """Compare the cokernel and biproduct rules against exhaustive searches.
 
-    Constructions the rules return must be certified by the search (a miss
-    is a failure); constructions the search certifies but the rules refuse
-    are emitted as ``discrepancy`` entries with the found witnesses.
+    Constructions the rules return must pass the search's own test (a miss
+    is a failure); inputs the rules refuse are searched, and constructions
+    found there are emitted as ``discrepancy`` entries with the witnesses.
     """
     w = _FiniteWorld(_require_finite(ring), STANDARD_LAWS)
     entries: list[CheckResult] = []
@@ -972,14 +966,14 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
     agreement = None
     refused_but_found: list[tuple[Morphism, list[CokernelPair]]] = []
     for f in w.morphisms:
-        found = _search_cokernel(w, f)
         try:
-            pair = cokernel(f)
+            E, p = cokernel(f)
         except CokernelDoesNotExist:
+            found = _search_cokernel(w, f)
             if found:
                 refused_but_found.append((f, found))
             continue
-        if pair not in found and agreement is None:
+        if agreement is None and not _is_cokernel(w, f, E, p):
             agreement = {"f": f.literal, "law": "returned cokernel fails the search"}
     entries.append(CheckResult(
         "cokernel-rule-agreement", "pass" if agreement is None else "fail", agreement))
@@ -1004,14 +998,13 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
     pairs_found: list[tuple[Ideal, Ideal, int]] = []
     for i, A in enumerate(w.objects):
         for B in w.objects[i:]:
-            found = _search_biproduct(w, A, B)
-            if intersect(A, B).is_zero:
-                bp = biproduct(A, B)
-                if bp not in found and agreement is None:
-                    agreement = {"A": A.literal, "B": B.literal,
-                                 "law": "constructed biproduct fails the search"}
-            elif found:
-                pairs_found.append((A, B, len(found)))
+            if not intersect(A, B).is_zero:
+                found = _search_biproduct(w, A, B)
+                if found:
+                    pairs_found.append((A, B, len(found)))
+            elif agreement is None and not _is_biproduct(w, A, B, biproduct(A, B)):
+                agreement = {"A": A.literal, "B": B.literal,
+                             "law": "constructed biproduct fails the search"}
     entries.append(CheckResult(
         "biproduct-rule-agreement", "pass" if agreement is None else "fail", agreement))
     for A, B, count in pairs_found:

@@ -1,12 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import idealcat
+from idealcat.cli import main
 from idealcat.errors import ParseError
 from idealcat.formats import (
     ideal_from_json,
@@ -176,30 +181,100 @@ def test_usage_errors(run_cli):
     assert json.loads(out)["error"]["type"] == "InvalidMultiplier"
 
 
-@pytest.mark.parametrize("max_abs", ["0", "-1"])
-def test_verify_rejects_max_abs_below_one(max_abs):
-    # In a child process with a timeout: --max-abs 0 once sampled forever.
+# Every subcommand with its operand letters, and two operand sets per ring: the
+# first set mostly succeeds, the second reaches refusals (exit 2) and errors.
+GOLDEN_COMMANDS = {"objects": "", "homs": "AB", "compose": "FG", "add": "FG", "apply": "FX",
+                   "kernel": "F", "cokernel": "F", "biproduct": "AB", "factor": "F",
+                   "split": "E", "poset": "", "verify": "", "oracle": "AB"}
+GOLDEN_OPERANDS = {
+    "zmod:6": [
+        dict(A="<2>", B="<3>", F="rho(1;2;1)", G="rho(1;5;1)", E="rho(1;3;1)", X="4"),
+        dict(A="<2>", B="<2>", F="rho(1;3;3)", G="rho(3;1;1)", E="rho(2;2;2)", X="5"),
+    ],
+    "zmod:12": [
+        dict(A="<4>", B="<3>", F="rho(1;3;1)", G="rho(1;4;1)", E="rho(1;4;1)", X="7"),
+        dict(A="<2>", B="<6>", F="rho(2;3;6)", G="rho(6;2;2)", E="rho(1;2;1)", X="8"),
+    ],
+    "z": [
+        dict(A="<4>", B="<6>", F="rho(2;3;2)", G="rho(2;5;2)", E="rho(2;1;2)", X="6"),
+        dict(A="<2>", B="<0>", F="rho(3;0;5)", G="rho(6;1/2;3)", E="rho(5;0;5)", X="7"),
+    ],
+    "qpoly": [
+        dict(A="<x^2-1>", B="<x+1>", F="rho(x-1;x+1;x-1)", G="rho(x-1;1/2;x-1)",
+             E="rho(x;1;x)", X="x^2-x"),
+        dict(A="<x>", B="<x^2+1>", F="rho(x;1/2;1)", G="rho(x^2;(1)/(x);x)",
+             E="rho(1;0;1)", X="3x"),
+    ],
+}
+# sha256 over (exit code, stdout, stderr) of every invocation golden_argvs
+# lists, recorded before the subcommands shared one command table.
+CLI_GOLDEN_SHA256 = "e68ad77360f376af43cccc932c55fcbf00af1b8809981a5631d5788bc3e4db76"
+
+
+def golden_argvs() -> list[list[str]]:
+    argvs = {}
+    for ring, operand_sets in GOLDEN_OPERANDS.items():
+        for operands, (cmd, letters) in product(operand_sets, GOLDEN_COMMANDS.items()):
+            for mode, fmt in product(("full", "paper"), ([], ["--json"])):
+                args = ["--", *(operands[x] for x in letters)] if letters else []
+                argv = [cmd, "--ring", ring, "--mode", mode, *fmt, *args]
+                argvs[tuple(argv)] = argv
+    return list(argvs.values())
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for argv in golden_argvs():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        h.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    return h.hexdigest()
+
+
+def test_every_subcommand_matches_the_golden_digest():
+    assert golden_digest() == CLI_GOLDEN_SHA256
+
+
+def _cli_child(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process with a timeout, for inputs that once hung
+    or ended in a traceback."""
     src = str(Path(idealcat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "idealcat.cli", "verify", "--ring", "z", "--max-abs", max_abs],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "idealcat.cli", *argv],
+                          capture_output=True, text=True, timeout=30, env=env)
+
+
+@pytest.mark.parametrize("max_abs", ["0", "-1"])
+def test_verify_rejects_max_abs_below_one(max_abs):
+    # --max-abs 0 once sampled forever.
+    proc = _cli_child("verify", "--ring", "z", "--max-abs", max_abs)
     assert proc.returncode == 1
     assert "--max-abs must be at least 1" in proc.stderr
 
 
 def test_apply_rejects_a_polynomial_degree_above_the_limit():
-    # In a child process with a timeout: x^100000000 once built 10^8 coefficients.
-    src = str(Path(idealcat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "idealcat.cli", "apply", "--ring", "qpoly",
-         "rho(1;x^100000000;1)", "1"],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    # x^100000000 once built 10^8 coefficients.
+    proc = _cli_child("apply", "--ring", "qpoly", "rho(1;x^100000000;1)", "1")
     assert proc.returncode == 1
     assert "above the limit 4096" in proc.stderr
+
+
+def test_compose_refuses_to_render_an_integer_over_the_digit_limit():
+    # Two 3000-digit multipliers multiply to 6000 digits, which int() would
+    # refuse to read back; str() once raised a raw ValueError here.
+    proc = _cli_child("compose", "--ring", "z", f"rho(1;{'7' * 3000};1)", f"rho(1;{'7' * 3000};1)")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_compose_refuses_to_render_a_degree_above_the_literal_limit():
+    # x^3000 * x^3000 = x^6000, which parse_poly refuses; it was once printed.
+    proc = _cli_child("compose", "--ring", "qpoly", "rho(1;x^3000;1)", "rho(1;x^3000;1)",
+                      "--json")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+    assert "above the literal limit 4096" in json.loads(proc.stdout)["error"]["message"]
 
 
 def test_paper_mode_rejects_fraction_literal(run_cli):

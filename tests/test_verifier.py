@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from idealcat.constructions import CokernelPair, cokernel
+from idealcat import verifier
+from idealcat.constructions import CokernelPair, KernelPair, biproduct, cokernel, kernel
 from idealcat.errors import CokernelDoesNotExist, RingMismatch
 from idealcat.ideals import (
     FULL,
@@ -13,9 +14,11 @@ from idealcat.ideals import (
     all_morphisms,
     enumerate_hom,
     enumerate_objects,
+    hom_add,
     ideal_elements,
     ideal_new,
     morphism_new,
+    zero_morphism,
 )
 from idealcat.rings import INTEGERS, RATIONAL_POLYNOMIALS, ModularRing
 from idealcat.verifier import (
@@ -141,6 +144,105 @@ def test_every_fail_carries_witness_and_mutations_are_caught(ring, mode):
             # Over a domain the only idempotents are 0 and 1, and on those the
             # splitting mutant agrees with the rule, so only Z_n can catch it.
             assert failing, f"mutation {name} was not caught"
+
+
+# sha256 of each mutant's check_axioms(zmod:n, Bounds(seed=3, samples=20)) report,
+# witnesses included, recorded before universality became one cone test.
+MUTANT_REPORT_SHA256 = {
+    (6, "compose-adds-multipliers"):
+        "85227db34c8eb3a9adb8019a650426bb5ab5a1d404832b8c76f722fd51235c5f",
+    (6, "add-multiplies-multipliers"):
+        "4b88e79fb7b39258f7fe7b9f0ed21e5ff1cebb68c425e38fa895b7ab4ec35e08",
+    (6, "kernel-whole-domain"):
+        "79522bf6ce833cb2ba53df8f9516fce0f3b2c677c561d1eecd6937f621cd5996",
+    (6, "factorization-skips-image"):
+        "cb8723bf79a5c20e629abe85da47d6313b637aeeb5066edbc0ab3e6635423531",
+    (6, "splitting-identity-retraction"):
+        "b040540d00384b31178100773a86f6a570133b20da62c58df41aeb358460ffc4",
+    (12, "compose-adds-multipliers"):
+        "e8241de06158a5439cdb9a81c0e101f80b981eef60f7c528c3e6c9632ce0d728",
+    (12, "add-multiplies-multipliers"):
+        "1e680ec50378eb635e5e8814c7f90ad126609b2ab85f2e398c7eaed15da0fe26",
+    (12, "kernel-whole-domain"):
+        "c98b7db2d956b63a0d7c2a45538884fc0966898cf79c8079c6818563c668de6a",
+    (12, "factorization-skips-image"):
+        "1c89a47765415c146ce86ea418ee504d1e445a10704a1e252baba3ec7b36cc70",
+    (12, "splitting-identity-retraction"):
+        "abd62538313a4c2f47a359095f597a3e55b400973d6dfdfd2293b39c305c3c0d",
+}
+
+
+def _sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,name", sorted(MUTANT_REPORT_SHA256))
+def test_mutant_reports_match_the_recorded_digests(n, name):
+    report = check_axioms(ModularRing(n), Bounds(seed=3, samples=20), FULL, law_mutations()[name])
+    assert _sha256(report) == MUTANT_REPORT_SHA256[(n, name)]
+
+
+# sha256 of json.dumps(verify_ring(zmod:n).to_json(), sort_keys=True), recorded
+# before universality became one cone test; n <= 12 includes the audits.
+ZMOD_REPORT_SHA256 = {
+    2: "c168a7d4d48ed5e591675d721480bc12804e79d97d6c9c32052a410342d21187",
+    3: "398eb5c267ae5f339e525554d99614777158b628f8b680c751c5a98cf6670298",
+    4: "ecbc8b05b638988c28a215c9c24d47a28691d8c912a595a4432ab4cf912bd192",
+    5: "5842903cfff65b9417bb5b4a64d4aca0d576d4072efee0f0ffbfc0f2b775a18f",
+    6: "eaafed5f32b0da3697d2ab26745e7831fbb3cfac33da842977a96a61240db02e",
+    7: "64e62f357fda05e2786044beec202612d9a2405a5775c2e1d3fe1c28965a049c",
+    8: "3c7480b5b02160e448acdc23b3aba1e76b6e53f49b89010b5376bbaf97c448c7",
+    9: "f20465d8cda1fa2352869935bf0b2aa3efdf2c510d73b2ba4b04adfe50791b6b",
+    10: "e88d01097a8443cdf27ccbdfb97737335ee27fdf4aa1b219ed5ef47ec136a7d6",
+    11: "320ffc45b1084bd84aa3bb688c175b221eb0062e00f8a552bd647d11a1030b4e",
+    12: "e86d9ba0d78c17f60786f9bbbd60d862cb574f06a223bc43ebb89bf7bfe99c84",
+    13: "9a3540a94a09347fd7c4f61a566a4f5b0a7ef3a332c844ed9162600c93e6ad0a",
+    14: "5f6d58d529dd12725b2c737b3767bc61287dfce15eb541a8b4757617ed4070d3",
+    15: "249952f5369e18ef3daf434163c2f474e61fb8d19a490f09c25ed44d72f6de8d",
+    16: "72f0d55a4887be7b09ae0c7d3e051653a4b0356c373faa8d9b07c08d4379b217",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ZMOD_REPORT_SHA256))
+def test_zmod_reports_match_the_recorded_digests(n):
+    assert _sha256(verify_ring(ModularRing(n))) == ZMOD_REPORT_SHA256[n]
+
+
+def _doubled_projection(f):
+    E, p = cokernel(f)
+    return CokernelPair(E, hom_add(p, p))
+
+
+def _doubled_inclusion(f):
+    K, j = kernel(f)
+    return KernelPair(K, hom_add(j, j))
+
+
+def _zero_first_projection(A, B):
+    bp = biproduct(A, B)
+    return replace(bp, p1=zero_morphism(bp.object, A))
+
+
+# Defects planted in the verifier's namespace: (attribute, planted value, the
+# checks that must fail).
+PLANTED_DEFECTS = {
+    "cokernel-projection-doubled": (
+        "cokernel", _doubled_projection, {"cokernel-universal", "cokernel-rule-agreement"}),
+    "kernel-inclusion-doubled": (
+        "STANDARD_LAWS", replace(STANDARD_LAWS, kernel=_doubled_inclusion), {"kernel-universal"}),
+    "biproduct-projection-zero": (
+        "biproduct", _zero_first_projection, {"biproduct-laws", "biproduct-rule-agreement"}),
+}
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("defect", sorted(PLANTED_DEFECTS))
+def test_planted_defects_fail_the_named_checks(monkeypatch, defect, n):
+    attribute, planted, must_fail = PLANTED_DEFECTS[defect]
+    monkeypatch.setattr(verifier, attribute, planted)
+    report = verify_ring(ModularRing(n))
+    failing = {c.name for c in report.checks if c.status == "fail"}
+    assert must_fail <= failing, failing
 
 
 @pytest.mark.parametrize("bad", [{"max_abs": 0}, {"max_abs": -1}, {"samples": 0},
