@@ -10,7 +10,8 @@ fraction_reduce skips work that cannot change the result: over a
 denominator of 1 it returns at once, when either side is a unit (a
 nonzero constant polynomial, or +-1) the gcd is a unit and is not
 computed, and a gcd of 1 or a denominator that is already canonical
-divides nothing.
+divides nothing. Over Z_n, ``+`` and ``*`` of two fractions over 1 skip
+fraction_reduce: the ring's sum and product are residues already.
 
 Text form: ``p`` or ``p/q``. A ring whose element literals contain ``/``
 (qpoly's rational coefficients) sets ``parenthesized_fractions``, and
@@ -68,6 +69,8 @@ class Fraction:
     def __add__(self, other: Fraction) -> Fraction:
         self._require_same_ring(other)
         r = self.ring
+        if not r.is_domain and self.den == other.den == r.one:  # Z_n residues: reduced already
+            return Fraction(r, r.add(self.num, other.num), r.one)
         num = r.add(r.mul(self.num, other.den), r.mul(other.num, self.den))
         return fraction_reduce(r, num, r.mul(self.den, other.den))
 
@@ -80,6 +83,8 @@ class Fraction:
     def __mul__(self, other: Fraction) -> Fraction:
         self._require_same_ring(other)
         r = self.ring
+        if not r.is_domain and self.den == other.den == r.one:
+            return Fraction(r, r.mul(self.num, other.num), r.one)
         return fraction_reduce(r, r.mul(self.num, other.num), r.mul(self.den, other.den))
 
     def __eq__(self, other) -> bool:

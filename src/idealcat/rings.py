@@ -26,11 +26,16 @@ class Ring:
     """Arithmetic backend descriptor; subclasses fix the element type.
 
     ``characteristic`` is n over Z_n (a finite ring) and 0 over the domains.
+    A subclass with its own ``__init__`` calls ``Ring.__init__`` once the
+    fields ``_key`` reads are set: the hash is computed there, once.
     """
 
     is_domain: bool = True
     characteristic: int = 0
     parenthesized_fractions: bool = False
+
+    def __init__(self):
+        self._hash = hash(self._key())  # every Fraction, Ideal and Morphism hash reads it
 
     def _key(self) -> tuple:
         return (type(self).__name__,)
@@ -39,7 +44,7 @@ class Ring:
         return self is other or (isinstance(other, Ring) and self._key() == other._key())
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -150,6 +155,7 @@ class ModularRing(Ring):
         self.modulus = self.characteristic = modulus
         self.zero = 0
         self.one = 1
+        super().__init__()
 
     def _key(self) -> tuple:
         return (type(self).__name__, self.modulus)

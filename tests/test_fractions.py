@@ -52,6 +52,21 @@ def test_zmod_unit_denominator_allowed():
     assert (f.num, f.den) == (4, 1)
 
 
+def test_zmod_sums_and_products_match_fraction_reduce():
+    for n in (2, 6, 12):
+        ring = ModularRing(n)
+        for a, b in ((a, b) for a in range(n) for b in range(n)):
+            fa, fb = Fraction.from_element(ring, a), Fraction.from_element(ring, b)
+            assert fa + fb == fraction_reduce(ring, a + b, 1)
+            assert fa * fb == fraction_reduce(ring, a * b, 1)
+    # a directly built fraction over a non-unit denominator still fails
+    bad = Fraction(Z6, 1, 5)
+    with pytest.raises(FractionOverNonDomain):
+        bad * Fraction.one(Z6)
+    with pytest.raises(FractionOverNonDomain):
+        Fraction.one(Z6) + bad
+
+
 @given(ints, nonzero_ints)
 def test_reduced_invariants(num, den):
     f = fraction_reduce(Z, num, den)

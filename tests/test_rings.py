@@ -35,6 +35,14 @@ def test_ring_literals_round_trip():
     assert ring_from_literal("z") != ring_from_literal("qpoly")
 
 
+def test_equal_rings_hash_alike():
+    rings = [ring_from_literal(lit) for lit in ("z", "qpoly", "zmod:6", "zmod:12")]
+    again = [ring_from_literal(lit) for lit in ("z", "qpoly", "zmod:6", "zmod:12")]
+    assert [hash(r) for r in rings] == [hash(r) for r in again]
+    assert len({hash(r) for r in rings}) == 4
+    assert {ModularRing(6): "a"}[ModularRing(6)] == "a"
+
+
 @pytest.mark.parametrize("bad", ["", "Z", "zmod:", "zmod:1", "zmod:x", "gf:7"])
 def test_bad_ring_literals(bad):
     with pytest.raises(ParseError):

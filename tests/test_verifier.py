@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -8,10 +9,13 @@ import pytest
 from idealcat import verifier
 from idealcat.constructions import CokernelPair, KernelPair, biproduct, cokernel, kernel
 from idealcat.errors import CokernelDoesNotExist, RingMismatch
+from idealcat.fracfield import Fraction
 from idealcat.ideals import (
     FULL,
     PAPER,
+    _raw_morphism,
     all_morphisms,
+    compose,
     enumerate_hom,
     enumerate_objects,
     hom_add,
@@ -200,12 +204,130 @@ ZMOD_REPORT_SHA256 = {
     14: "5f6d58d529dd12725b2c737b3767bc61287dfce15eb541a8b4757617ed4070d3",
     15: "249952f5369e18ef3daf434163c2f474e61fb8d19a490f09c25ed44d72f6de8d",
     16: "72f0d55a4887be7b09ae0c7d3e051653a4b0356c373faa8d9b07c08d4379b217",
+    # recorded before the cubic laws were settled on hom-set bases
+    17: "8dca025654a7f4399c66d56ae69ead917f83e96c55d6ae5da31494e651c0909c",
+    18: "f825e35b74054f51493c805d5a42aaa3adb838253ae179ea57b26248d0c902ba",
+    19: "d1dd48efbfd2c4e9e5fac70db78f40d62ea8b2d1312800a96ab8d3cbecdabda5",
+    20: "ad8fe5687d936c2d4f26b9188bad75652712e902be305d4408ac7782ceda1129",
+    21: "d64cf74d94dddfe595fa033881a47856e5e72220938dae92aca7d213d5766a1b",
+    22: "851f6581a03e8b0f091dae701c63c7e85348abdee957b08b350bfa216748bd27",
+    23: "28d542321517218b44f2e2c772e77ef5350a2f14e1fb8aa3a233995b91e9d9c9",
+    24: "e18deffdc02e36eec0a002377b7964eb2a0eee4433b8d89f996528dbfa234f99",
 }
 
 
 @pytest.mark.parametrize("n", sorted(ZMOD_REPORT_SHA256))
 def test_zmod_reports_match_the_recorded_digests(n):
     assert _sha256(verify_ring(ModularRing(n))) == ZMOD_REPORT_SHA256[n]
+
+
+def _on_one(f):
+    return f.dom.generator == 1 and f.cod.generator == 1
+
+
+def _add_wrong_on_the_orbit(f, g):
+    # 1 + 1 on <1> -> <1> comes out as 1, so the orbit of the base 1 is not the hom-set
+    if _on_one(f) and _on_one(g) and f.multiplier.num == 1 and g.multiplier.num == 1:
+        return f
+    return hom_add(f, g)
+
+
+def _add_wrong_off_the_orbit(f, g):
+    # 2 + 3 on <1> -> <1> comes out as 0; the orbit 1, 1+1, ... is right, the table is not
+    if _on_one(f) and _on_one(g) and f.multiplier.num == 2 and g.multiplier.num == 3:
+        return zero_morphism(f.dom, f.cod)
+    return hom_add(f, g)
+
+
+def _add_with_another_zero(f, g):
+    # f + g - 2b, b the hom-set's base: still a cyclic group, but its zero is 2b
+    b = enumerate_hom(f.dom, f.cod).base
+    return _raw_morphism(f.dom, f.cod, hom_add(f, g).multiplier - b - b)
+
+
+def _compose_wrong_off_generators(g, f):
+    # 2 after 2 on <1> -> <1> -> <1> comes out one too large; bases compose right
+    h = compose(g, f)
+    if _on_one(f) and _on_one(g) and f.multiplier.num == 2 and g.multiplier.num == 2:
+        return _raw_morphism(h.dom, h.cod, h.multiplier + Fraction.one(h.dom.ring))
+    return h
+
+
+def _compose_wrong_after_two(g, f):
+    # 2 on <1> after any f comes out as 3 f: additive in f, not in g
+    h = compose(g, f)
+    if _on_one(g) and g.multiplier.num == 2:
+        return _raw_morphism(h.dom, h.cod, h.multiplier + f.multiplier)
+    return h
+
+
+def _compose_wrong_before_two(g, f):
+    # any g after 2 on <1> comes out as 3 g: additive in g, not in f
+    h = compose(g, f)
+    if _on_one(f) and f.multiplier.num == 2:
+        return _raw_morphism(h.dom, h.cod, h.multiplier + g.multiplier)
+    return h
+
+
+# Defects outside the documented catalogue that the reduced checks on hom-set
+# bases must hand to the full loops; each breaks one premise or one reduced law.
+# sha256 of check_axioms(zmod:n, Bounds(seed=3, samples=20)) with each, recorded
+# while every law still ran its full loop.
+LOCAL_MUTANTS = {
+    "add-wrong-on-the-orbit": replace(STANDARD_LAWS, add=_add_wrong_on_the_orbit),
+    "add-wrong-off-the-orbit": replace(STANDARD_LAWS, add=_add_wrong_off_the_orbit),
+    "add-with-another-zero": replace(STANDARD_LAWS, add=_add_with_another_zero),
+    "compose-wrong-off-generators": replace(STANDARD_LAWS, compose=_compose_wrong_off_generators),
+    "compose-wrong-after-two": replace(STANDARD_LAWS, compose=_compose_wrong_after_two),
+    "compose-wrong-before-two": replace(STANDARD_LAWS, compose=_compose_wrong_before_two),
+}
+LOCAL_MUTANT_REPORT_SHA256 = {
+    (6, "add-wrong-on-the-orbit"):
+        "e43d525b1ff42b9465fb161c58da42937d630a137d5c0f60269a20574bc6a720",
+    (6, "add-wrong-off-the-orbit"):
+        "61e9502d6ea17752a0807fccff16c9cf5d93a3f5a5aebe9bf2089781a1e76bee",
+    (6, "add-with-another-zero"):
+        "54a25393419b2f22d5f5c00c1de4eb9ea033d83967b8357361619cbc8dc0b1c9",
+    (6, "compose-wrong-off-generators"):
+        "4fe76a55cf4262a097269f77bd0c83203db0566e3f9bd9d06979a839050cd92d",
+    (6, "compose-wrong-after-two"):
+        "9806ec0218a465a8671ac741ef64161b1229a6ea0c26c53d5db8bbc40cf26f18",
+    (6, "compose-wrong-before-two"):
+        "b6960df45b5eade3e057263fcfa4b19fcdef7ecc79011e0e1c6546af3b4d2193",
+    (12, "add-wrong-on-the-orbit"):
+        "91ccf4c13f2139a1c3efd1bbd4e06286b8338796dfc0c1e7f02a444344751554",
+    (12, "add-wrong-off-the-orbit"):
+        "f9d00171db180933f2e0113ddd87cef62f87e982279063213dcfd5f3621c84ac",
+    (12, "add-with-another-zero"):
+        "bb12539b620b9c892b9a41c9e6a6b657e914c365781575f704c21655cac934ee",
+    (12, "compose-wrong-off-generators"):
+        "ca656c2044126fab111dc91cc5222ed663d5b497ac9d60c7aa283ffc61f0f743",
+    (12, "compose-wrong-after-two"):
+        "b65fab63f9c03ba31ff4fb7e09c45c4b28cd18f69e6429c0776b77a212291638",
+    (12, "compose-wrong-before-two"):
+        "48d55a6ad66509cf980bb97bf4404a44bba55c255182ea1f926f572673d7771d",
+}
+
+
+@pytest.mark.parametrize("n,name", sorted(LOCAL_MUTANT_REPORT_SHA256))
+def test_defects_off_the_generators_get_the_full_loop_witnesses(n, name):
+    report = check_axioms(ModularRing(n), Bounds(seed=3, samples=20), FULL, LOCAL_MUTANTS[name])
+    assert _sha256(report) == LOCAL_MUTANT_REPORT_SHA256[(n, name)]
+
+
+def test_cubic_laws_run_on_hom_set_bases():
+    # zmod:24 has 320,280 composable triples; the full loops compose 1.6 M times
+    calls = Counter()
+
+    def counted(law):
+        def run(*args):
+            calls[law] += 1
+            return getattr(STANDARD_LAWS, law)(*args)
+        return run
+
+    laws = replace(STANDARD_LAWS, compose=counted("compose"), add=counted("add"))
+    assert not check_axioms(ModularRing(24), laws=laws).failed
+    assert calls["compose"] < 320_280, calls
 
 
 def _doubled_projection(f):
