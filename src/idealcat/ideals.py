@@ -42,11 +42,18 @@ MODES = (FULL, PAPER)
 
 @dataclass(frozen=True)
 class Ideal:
-    """A principal ideal <generator> of its ring."""
+    """A principal ideal <generator> of its ring. The generator must be
+    canonical; ideal_new normalizes any generator list."""
 
     ring: Ring
     generator: RingElement
     given_generators: tuple = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        canonical = self.ring.canonical(self.generator)
+        if canonical is not self.generator and canonical != self.generator:
+            raise ValueError(f"{self.generator!r} is not a canonical generator of {self.ring}: "
+                             "build ideals with ideal_new")
 
     @property
     def is_zero(self) -> bool:

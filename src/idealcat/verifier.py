@@ -2,8 +2,8 @@
 
 Each law is written once over the cases a world supplies: over Z_n every
 case (all composable chains, hom-sets and elements), over Z and Q[x]
-seeded draws, ``samples`` per check or ``samples // 5`` for the costlier
-ones. What only a whole hom-set can show (membership, literal
+seeded draws, ``samples`` per check or ``samples // 5``, at least one, for
+the costlier ones. What only a whole hom-set can show (membership, literal
 cancellation) the law asks of the world; checks whose laws really differ
 stay apart. Checks are independent pure computations in a fixed order, so
 a report is deterministic for a given (ring, bounds, seed). Bilinearity is
@@ -12,18 +12,20 @@ equivalent to the quartic law.
 
 Over Z_n every hom-set is cyclic, generated by its ``enumerate_hom`` base,
 and a map additive in each argument is fixed by its values on generators
-(Mac Lane, CWM, on Ab-categories). So the three cubic laws are settled on
-bases, in quadratic time, once two premises are checked: P1, each hom-set
-is Z_k under ``laws.add`` (the orbit b, b+b, ... of its base lists it, and
-x_i + x_j = x_(i+j mod k) for every pair), and P2, ``laws.compose`` sends
-every composable pair into the enumerated hom-set. Distributivity against
-the base then extends to every f' = b + ... + b by induction, both sides
-of associativity are tri-additive and need one generator triple per
-quadruple of objects, and P1 leaves only zero and inverses to the group
-law. If a premise fails, a reduced check finds a violation or anything
-raises, the law runs its full loop over every case, so a report, passing
-or failing, is the one the full loops give. The argument assumes, as every
-check does, that the laws are deterministic functions of morphism values.
+(Mac Lane, CWM, on Ab-categories). So the three cubic laws run first, in
+quadratic time, on the world's generator copy, whose parallel partners are
+the hom-set bases and whose composable triples are one base triple per
+quadruple of objects. That settles them once P1 holds, each hom-set is Z_k
+under ``laws.add`` (the orbit b, b+b, ... of its base lists it, and x_i +
+x_j = x_(i+j mod k) for every pair), with P2, which the bilinearity run
+checks on its composites: ``laws.compose`` sends every composable pair into
+the enumerated hom-set. Distributivity against the base extends to every
+f' = b + ... + b by induction, both sides of associativity are
+tri-additive, and P1 leaves only zero and inverses to the group law. If P1
+fails, a law fails on the generator cases or anything raises, the law runs
+its full loop over every case, so a report, passing or failing, is the one
+the full loops give. The argument assumes, as every check does, that the
+laws are deterministic functions of morphism values.
 
 The brute-force oracle rebuilds hom-sets as raw linear function tables
 from first principles, independent of the Morphism machinery. Over Z_n
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable
@@ -280,9 +283,12 @@ def morphism_table(f: Morphism) -> FunctionTable:
 
 class _FiniteWorld:
     """Precomputed objects, hom-sets (with their bases) and ideal elements of
-    the Z_n category; each case source yields every case and ignores ``few``."""
+    the Z_n category; each case source yields every case and ignores ``few``.
+    Its generator copy (``on_bases``) keeps the morphisms and composable
+    pairs, but gives parallel partners and composable triples on bases."""
 
     triples_are_chains = False
+    on_bases = False
 
     def __init__(self, ring: Ring, laws: LawTable):
         self.ring = ring
@@ -297,18 +303,30 @@ class _FiniteWorld:
         self.members = {key: frozenset(homset) for key, homset in self.hom.items()}
         self.settled: dict[Callable, bool] = {}
 
-    def certifies(self, reduced: Callable[[_FiniteWorld], bool]) -> bool:
-        """Whether a reduced check passes, run once per world. A check that
-        raises does not pass, so its law runs the full loop and reports it."""
-        if reduced not in self.settled:  # absent: not run yet; a cached False is a fail
-            try:
-                self.settled[reduced] = reduced(self)
-            except Exception:
-                self.settled[reduced] = False
-        return self.settled[reduced]
+    def certifies(self, *laws: Callable) -> bool:
+        """Whether P1 and then each law pass on the generator copy. Each runs
+        once per world, and one that raises does not certify. The copy itself
+        certifies nothing, so there every law runs its loop."""
+        if self.on_bases:
+            return False
+        generators = copy(self)
+        generators.on_bases = True
+        for law in (_cyclic_hom_sets, *laws):
+            if law not in self.settled:
+                try:
+                    self.settled[law] = law(generators) is None
+                except Exception:
+                    self.settled[law] = False
+            if not self.settled[law]:
+                return False
+        return True
 
     def chains(self, length: int, few: bool = False):
-        """Every composable chain (f1, ..., fk), f(i+1) after f(i)."""
+        """Every composable chain (f1, ..., fk), f(i+1) after f(i); on bases,
+        the triples are one base triple per quadruple of objects."""
+        if self.on_bases and length == 3:
+            return ((self.base[(A, B)], self.base[(B, C)], self.base[(C, D)])
+                    for A, B, C, D in product(self.objects, repeat=4))
         chains = ((f,) for f in self.morphisms)
         for _ in range(length - 1):
             chains = (c + (g,) for c in chains
@@ -316,8 +334,14 @@ class _FiniteWorld:
         return chains
 
     def partners(self, f: Morphism):
-        """Every morphism parallel to f."""
-        return self.hom[(f.dom, f.cod)]
+        """Every morphism parallel to f; on bases, the base of its hom-set."""
+        key = (f.dom, f.cod)
+        return (self.base[key],) if self.on_bases else self.hom[key]
+
+    def closed(self, h: Morphism, dom: Ideal, cod: Ideal) -> bool:
+        """P2 on bases: whether h is in the enumerated Hom(dom, cod). The full
+        loops rest on no premise, so there it always holds."""
+        return not self.on_bases or h in self.members[(dom, cod)]
 
     def idempotents(self):
         return (e for A in self.objects for e in self.hom[(A, A)] if compose(e, e) == e)
@@ -353,7 +377,8 @@ class _FiniteWorld:
 
 class _SampledWorld:
     """Seeded draws over an infinite backend: each case source yields
-    ``samples`` draws, or ``samples // 5`` with ``few`` or where it says so."""
+    ``samples`` draws, or ``samples // 5`` (at least one) with ``few`` or
+    where it says so."""
 
     triples_are_chains = True
 
@@ -391,9 +416,9 @@ class _SampledWorld:
         return _raw_morphism(A, B, scaled)
 
     def draws(self, few: bool) -> range:
-        return range(self.bounds.samples // 5 if few else self.bounds.samples)
+        return range(max(1, self.bounds.samples // 5) if few else self.bounds.samples)
 
-    def certifies(self, reduced) -> bool:
+    def certifies(self, *laws) -> bool:
         return False  # draws are not whole hom-sets: every law runs its full loop
 
     def chains(self, length: int, few: bool = False):
@@ -426,6 +451,9 @@ class _SampledWorld:
 
     def member(self, f: Morphism) -> bool:
         return True  # drawn as a multiple of its hom-set's base
+
+    def closed(self, h: Morphism, dom: Ideal, cod: Ideal) -> bool:
+        return True  # the full loops rest on no premise
 
     def expected_kernel(self, f: Morphism) -> Ideal:
         """Over a domain a nonzero multiplication map is injective."""
@@ -466,11 +494,10 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
 
 
 # ---------------------------------------------------------------------------
-# reduced checks on hom-set bases, which _FiniteWorld.certifies runs once per
-# world; a law whose reduced check fails runs its full loop
+# the premise of the generator cases, which _FiniteWorld.certifies runs first
 
 
-def _cyclic_hom_sets(w: _FiniteWorld) -> bool:
+def _cyclic_hom_sets(w: _FiniteWorld):
     """P1: each hom-set is Z_k under laws.add. With x_1 = b its base and
     x_(i+1) = x_i + b, the orbit x_1, ..., x_k lists exactly the k enumerated
     maps, and x_i + x_j = x_(i+j mod k) for every pair."""
@@ -481,46 +508,12 @@ def _cyclic_hom_sets(w: _FiniteWorld) -> bool:
         while len(orbit) < k:
             orbit.append(add(orbit[-1], b))
         if set(orbit) != w.members[key]:
-            return False
+            return {"f": b.literal, "law": "orbit of the base"}
         for i, x in enumerate(orbit):  # orbit[i] is x_(i+1)
             for j, y in enumerate(orbit):
                 if add(x, y) != orbit[(i + j + 1) % k]:
-                    return False
-    return True
-
-
-def _abelian_on_bases(w: _FiniteWorld) -> bool:
-    """P1, then _zero_and_inverse for every morphism."""
-    return w.certifies(_cyclic_hom_sets) and all(
-        _zero_and_inverse(w, f) is None for f in w.morphisms)
-
-
-def _bilinear_on_bases(w: _FiniteWorld) -> bool:
-    """P1, P2, and distributivity with f' and g' the bases of their hom-sets,
-    over every composable pair."""
-    if not w.certifies(_cyclic_hom_sets):
-        return False
-    compose, add = w.laws.compose, w.laws.add
-    for f, g in w.chains(2):
-        gf = compose(g, f)
-        bf, bg = w.base[(f.dom, f.cod)], w.base[(g.dom, g.cod)]
-        if (gf not in w.members[(f.dom, g.cod)]
-                or compose(g, add(f, bf)) != add(gf, compose(g, bf))
-                or compose(add(g, bg), f) != add(gf, compose(bg, f))):
-            return False
-    return True
-
-
-def _associative_on_bases(w: _FiniteWorld) -> bool:
-    """The reduced bilinearity, then one base triple per quadruple of objects."""
-    if not w.certifies(_bilinear_on_bases):
-        return False
-    compose = w.laws.compose
-    for A, B, C, D in product(w.objects, repeat=4):
-        f, g, h = w.base[(A, B)], w.base[(B, C)], w.base[(C, D)]
-        if compose(h, compose(g, f)) != compose(compose(h, g), f):
-            return False
-    return True
+                    return {"f": x.literal, "g": y.literal, "law": "cyclic table"}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +523,15 @@ def _associative_on_bases(w: _FiniteWorld) -> bool:
 def _compose_associative(w):
     """h (g f) = (h g) f over every composable triple.
 
-    On bases: given P1 and the reduced bilinearity (with P2), composition
-    is additive in each argument, so f, g, h -> h (g f) and f, g, h ->
-    (h g) f are both tri-additive Hom(A, B) x Hom(B, C) x Hom(C, D) ->
-    Hom(A, D). Each f is some x_i with x_(i+1) = x_i + b, so either side at
-    x_(i+1) is its value at x_i plus its value at b: a tri-additive map is
-    fixed by its value on the three bases, and one triple per quadruple of
-    objects (A, B, C, D) settles the law.
+    On generators: given P1 and compose-bilinear on its generator cases (P2
+    included), composition is additive in each argument, so f, g, h ->
+    h (g f) and f, g, h -> (h g) f are both tri-additive Hom(A, B) x
+    Hom(B, C) x Hom(C, D) -> Hom(A, D). Each f is some x_i with x_(i+1) =
+    x_i + b, so either side at x_(i+1) is its value at x_i plus its value at
+    b: a tri-additive map is fixed by its value on the three bases, and one
+    base triple per quadruple of objects (A, B, C, D) settles the law.
     """
-    if w.certifies(_associative_on_bases):
+    if w.certifies(_compose_bilinear, _compose_associative):
         return None
     laws = w.laws
     for f, g, h in w.chains(3):
@@ -557,36 +550,28 @@ def _identity_neutral(w):
     return None
 
 
-def _zero_and_inverse(w, f):
-    """The group laws that name zero_morphism and hom_neg: membership of
-    both, f + 0 = f and f + (-f) = 0."""
-    zero, neg = zero_morphism(f.dom, f.cod), hom_neg(f)
-    if not w.member(zero):
-        return {"hom": f"{f.dom.literal}->{f.cod.literal}", "law": "zero missing"}
-    if not w.member(neg):
-        return {"f": f.literal, "law": "negation closure"}
-    if w.laws.add(f, zero) != f:
-        return {"f": f.literal, "law": "zero neutral"}
-    if w.laws.add(f, neg) != zero:
-        return {"f": f.literal, "law": "inverse"}
-    return None
-
-
 def _hom_abelian(w):
     """Each hom-set is an abelian group under laws.add, with zero_morphism
     as zero and hom_neg as negation.
 
-    On bases: P1 makes addition on each hom-set the table of Z_k, which is
-    closed, associative and commutative, so only the laws of
-    _zero_and_inverse remain, one check per morphism.
+    On generators: P1 makes addition on each hom-set the table of Z_k, which
+    is closed, associative and commutative, so of this law only the zero and
+    negation checks add anything, and those run for every morphism; the
+    partner of each is its hom-set's base.
     """
-    if w.certifies(_abelian_on_bases):
+    if w.certifies(_hom_abelian):
         return None
     laws = w.laws
     for (f,) in w.chains(1):
-        witness = _zero_and_inverse(w, f)
-        if witness is not None:
-            return witness
+        zero, neg = zero_morphism(f.dom, f.cod), hom_neg(f)
+        if not w.member(zero):
+            return {"hom": f"{f.dom.literal}->{f.cod.literal}", "law": "zero missing"}
+        if not w.member(neg):
+            return {"f": f.literal, "law": "negation closure"}
+        if laws.add(f, zero) != f:
+            return {"f": f.literal, "law": "zero neutral"}
+        if laws.add(f, neg) != zero:
+            return {"f": f.literal, "law": "inverse"}
         for g in w.partners(f):
             s = laws.add(f, g)
             if not w.member(s):
@@ -604,19 +589,22 @@ def _compose_bilinear(w):
     holds zero (hom-abelian-group), so these two cubic laws are equivalent
     to (g + g')(f + f') = g f + g f' + g' f + g' f'.
 
-    On bases: given P1 and P2, the case f' = b, the base of Hom(f.dom,
-    f.cod), gives every f' = x_j by induction on j, since
+    On generators: the partners are the bases, and w.closed checks P2 on
+    each composite. Given P1 and P2, the case f' = b, the base of
+    Hom(f.dom, f.cod), gives every f' = x_j by induction on j, since
     g(f + x_(j+1)) = g((f + x_j) + b) = g(f + x_j) + g b
     = (g f + g x_j) + g b = g f + (g x_j + g b) = g f + g x_(j+1),
     using associativity and closure from P1 in both hom-sets and P2 to keep
     g x_j in Hom(f.dom, g.cod). The case g' = base of Hom(g.dom, g.cod)
     gives right distributivity the same way.
     """
-    if w.certifies(_bilinear_on_bases):
+    if w.certifies(_compose_bilinear):
         return None
     laws = w.laws
     for f, g in w.chains(2):
         gf = laws.compose(g, f)
+        if not w.closed(gf, f.dom, g.cod):
+            return {"f": f.literal, "g": g.literal, "law": "closure"}
         for f2 in w.partners(f):
             if laws.compose(g, laws.add(f, f2)) != laws.add(gf, laws.compose(g, f2)):
                 return {"f": f.literal, "f'": f2.literal, "g": g.literal,

@@ -9,9 +9,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idealcat
-from idealcat.cli import main
+from idealcat import cli
+from idealcat.cli import _COMMANDS, main
 from idealcat.errors import ParseError
 from idealcat.formats import (
     ideal_from_json,
@@ -21,7 +24,7 @@ from idealcat.formats import (
     parse_ideal,
     parse_morphism,
 )
-from idealcat.ideals import ideal_new, morphism_new
+from idealcat.ideals import apply, enumerate_hom, enumerate_objects, ideal_new, morphism_new
 from idealcat.rings import INTEGERS, RATIONAL_POLYNOMIALS, ModularRing, ring_from_literal
 
 Z6 = ModularRing(6)
@@ -353,3 +356,141 @@ def test_morphism_json_shape():
         "mult": "4",
         "cod": {"ring": "zmod:6", "gen": "2"},
     }
+
+
+# --- fuzz: every command, random and valid operands ---------------------------
+# Moduli stop at 30, and verify (exhaustive over zmod:n) at 12, so the fuzz
+# stays a few seconds long. Larger moduli stay out because hom-set listings
+# have no cap yet: `homs --ring zmod:100000000` runs out of memory.
+
+FUZZ_RINGS = st.sampled_from(["z", "qpoly"]) | st.integers(2, 30).map(lambda n: f"zmod:{n}")
+FUZZ_SNIPPETS = ["", " ", "<", "<>", "<0>", "<1,>", "rho(", "rho(1;;1)", "rho(0;0;0)",
+                 "rho(1;1/0;1)", "rho(x;(x)/(0);x)", "1/0", "x^99999", "(x)/(x+1)", "--json"]
+
+
+def _poly_text(coefficients) -> str:
+    terms = [f"{c:+d}x^{d}" for d, c in enumerate(coefficients) if c]
+    return "".join(reversed(terms)) or "0"
+
+
+@st.composite
+def valid_operands(draw, ring: str, letters: str) -> list[str]:
+    """A literal for each operand letter. Generators come mostly from a pool
+    of three elements, and multipliers often map dom into cod, so that the
+    morphisms often exist, compose and add."""
+    if ring == "qpoly":
+        element = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(_poly_text)
+        over = "({})/({})".format
+    else:
+        element = st.integers(-40, 40).map(str)
+        over = "{}/{}".format
+    pool = draw(st.lists(element, min_size=3, max_size=3))
+    generator = st.sampled_from(pool) | element
+    texts, cod = [], generator
+    for letter in letters:
+        if letter in "AB":
+            texts.append("<" + ",".join(draw(st.lists(generator, max_size=2))) + ">")
+        elif letter == "X":
+            texts.append(draw(element))
+        else:  # G often ends where F starts, so that compose F G is defined
+            a, b = draw(generator), draw(cod)
+            cod = st.just(a) | generator
+            s = draw(st.sampled_from([b, over(b, a)]) if draw(st.integers(0, 3)) else
+                     element | st.tuples(element, element).map(lambda t: over(*t)))
+            texts.append(f"rho({a};{s};{b})")
+    return texts
+
+
+def _main_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_command_exits_with_a_documented_code(name, data):
+    command = _COMMANDS[name]
+    if name == "verify":
+        ring = f"zmod:{data.draw(st.integers(2, 12))}"
+        flags = ["--seed", str(data.draw(st.integers(0, 9)))]
+    else:
+        ring, flags = data.draw(FUZZ_RINGS), []
+    junk = st.sampled_from(FUZZ_SNIPPETS) | st.text(max_size=10)
+    operands = [data.draw(st.just(text) | junk)
+                for text in data.draw(valid_operands(ring, command.operands))]
+    as_json = data.draw(st.booleans())
+    argv = [name, "--ring", ring, "--mode", data.draw(st.sampled_from(["full", "paper"])),
+            *flags, *(["--json"] if as_json else []), *(["--", *operands] if operands else [])]
+    code, out, err = _main_captured(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if as_json and out:  # argparse usage errors print only to stderr
+        json.loads(out)
+
+
+def _read_back(ring, mode: str, printed):
+    """The value a printed literal or JSON object stands for."""
+    if isinstance(printed, dict):
+        return morphism_from_json(printed, mode) if "dom" in printed else ideal_from_json(printed)
+    if printed.startswith("<"):
+        return parse_ideal(ring, printed)
+    if printed.startswith("rho("):
+        return parse_morphism(ring, printed, mode)
+    return ring.parse_element(printed)
+
+
+def _printed(name: str, payload, human: str) -> tuple[list, list]:
+    """The values a successful command printed, as JSON and as text."""
+    lines = human.splitlines()
+    if name == "homs":
+        return payload["elements"] or [], lines[1:]
+    if name == "apply":
+        return [payload["value"]], lines
+    if name == "objects":
+        return payload, lines
+    if _COMMANDS[name].labels:
+        return list(payload.values()), [line.split(" ", 1)[1] for line in lines]
+    return [payload], lines
+
+
+def _expected(name: str, ring, mode: str, operands: list):
+    if name == "homs":
+        return list(enumerate_hom(*operands, mode).elements or ())
+    if name == "apply":
+        return [apply(*operands)]
+    if name == "objects":
+        return enumerate_objects(ring)
+    result = getattr(cli, _COMMANDS[name].operation)(*operands)
+    if not _COMMANDS[name].labels:
+        return [result]
+    return list(result if isinstance(result, tuple) else vars(result).values())
+
+
+ROUND_TRIP_COMMANDS = sorted(name for name, c in _COMMANDS.items()
+                             if c.codec or name in ("homs", "apply", "objects"))
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_COMMANDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_printed_value_parses_back_to_an_equal_value(name, data):
+    command = _COMMANDS[name]
+    ring_literal = data.draw(FUZZ_RINGS.filter(lambda r: name != "objects" or r.startswith("zmod")))
+    mode = data.draw(st.sampled_from(["full", "paper"]))
+    texts = data.draw(valid_operands(ring_literal, command.operands))
+    argv = [name, "--ring", ring_literal, "--mode", mode, *(["--", *texts] if texts else [])]
+    code, human, _ = _main_captured(argv)
+    json_code, payload, _ = _main_captured([*argv[:5], "--json", *argv[5:]])
+    assert code == json_code
+    if code != 0:
+        return
+    ring = ring_from_literal(ring_literal)
+    operands = [cli._operand(letter, text, ring, mode)
+                for letter, text in zip(command.operands, texts)]
+    expected = _expected(name, ring, mode, operands)
+    as_json, as_text = _printed(name, json.loads(payload), human)
+    assert [_read_back(ring, mode, v) for v in as_json] == expected
+    assert [_read_back(ring, mode, v) for v in as_text] == expected

@@ -16,6 +16,7 @@ from idealcat.errors import (
 from idealcat.fracfield import Fraction, fraction_reduce
 from idealcat.ideals import (
     HomSet,
+    Ideal,
     all_morphisms,
     apply,
     compose,
@@ -80,6 +81,26 @@ def test_ideal_equality_ignores_provenance():
 def test_ideal_new_idempotent():
     A = z6i(4)
     assert ideal_new(Z6, [A.generator]) == A
+
+
+@pytest.mark.parametrize("ring, generator", [
+    (Z, -2),
+    (Z6, 4),
+    (Z6, 6),
+    (QX, parse_poly("2x+2")),
+], ids=["z:-2", "zmod:6:4", "zmod:6:6", "qpoly:2x+2"])
+def test_ideal_refuses_a_generator_that_is_not_canonical(ring, generator):
+    # Ideal(Z, -2) once rendered as <-2> and differed from ideal_new(Z, [-2]) = <2>
+    with pytest.raises(ValueError):
+        Ideal(ring, generator)
+    A = ideal_new(ring, [generator])
+    assert Ideal(A.ring, A.generator) == A
+
+
+def test_enumerated_objects_have_canonical_generators():
+    for n in range(2, 31):
+        ring = ModularRing(n)
+        assert [A.generator for A in enumerate_objects(ring)] == ring.ideal_generators()
 
 
 def test_contains_element():

@@ -315,17 +315,20 @@ def test_defects_off_the_generators_get_the_full_loop_witnesses(n, name):
     assert _sha256(report) == LOCAL_MUTANT_REPORT_SHA256[(n, name)]
 
 
+def _counting_laws(calls: Counter, *names: str):
+    """STANDARD_LAWS with each named law counting its calls in ``calls``."""
+    def counted(name):
+        def run(*args):
+            calls[name] += 1
+            return getattr(STANDARD_LAWS, name)(*args)
+        return run
+    return replace(STANDARD_LAWS, **{name: counted(name) for name in names})
+
+
 def test_cubic_laws_run_on_hom_set_bases():
     # zmod:24 has 320,280 composable triples; the full loops compose 1.6 M times
     calls = Counter()
-
-    def counted(law):
-        def run(*args):
-            calls[law] += 1
-            return getattr(STANDARD_LAWS, law)(*args)
-        return run
-
-    laws = replace(STANDARD_LAWS, compose=counted("compose"), add=counted("add"))
+    laws = _counting_laws(calls, "compose", "add")
     assert not check_axioms(ModularRing(24), laws=laws).failed
     assert calls["compose"] < 320_280, calls
 
@@ -376,6 +379,17 @@ def test_bounds_reject_values_that_cannot_be_sampled(bad):
 
 def test_bounds_allow_a_single_sample():
     assert not check_axioms(INTEGERS, Bounds(samples=1)).failed
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 4, 5])
+def test_checks_on_few_draws_run_at_least_one_case(samples):
+    # samples // 5 was once 0 here, and six checks passed without a case
+    calls = Counter()
+    laws = _counting_laws(calls, "kernel", "split")
+    assert not check_axioms(INTEGERS, Bounds(samples=samples), laws=laws).failed
+    # kernel-zero-set calls kernel once per draw; kernel-universal and
+    # idempotent-kernel call it on their few draws, idempotent-splitting splits
+    assert calls["kernel"] > samples and calls["split"] > 0, calls
 
 
 def test_mutation_catalogue_is_the_documented_five():
