@@ -30,6 +30,7 @@ from .errors import (
     IdealCatError,
     InfiniteObjectClass,
     InvalidMultiplier,
+    ListingTooLarge,
     NontrivialIntersection,
     NotASubideal,
     NotComposable,

@@ -3,6 +3,10 @@
 Exit codes: 0 success (discrepancy-only verification included), 1 usage or
 parse errors, 2 mathematical non-existence (cokernel/biproduct/splitting/
 inclusion refusals), 3 verification failure (any fail entry in a report).
+
+Listings are bounded: ``homs`` over Z_n refuses a hom-set of more than
+``ideals.MAX_HOM_LISTING`` morphisms, and ``oracle`` refuses a modulus above
+``ORACLE_MAX_MODULUS``; both with ListingTooLarge, exit 1.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import NamedTuple
 
 from . import formats
 from .constructions import biproduct, canonical_factorization, cokernel, kernel, split_idempotent
-from .errors import DoesNotExist, IdealCatError, ParseError
+from .errors import DoesNotExist, IdealCatError, ListingTooLarge, ParseError
 from .hasse import poset_dot
 from .ideals import FULL, MODES, apply, compose, enumerate_hom, enumerate_objects, hom_add
 from .rings import ring_from_literal
@@ -57,7 +61,14 @@ def _verify(args, ring):
     return formats.report_to_json(report), "\n".join(lines), 3 if report.failed else 0
 
 
+# The brute-force oracle takes time cubic in n: 0.3 s at the limit, 20 s at 500.
+ORACLE_MAX_MODULUS = 128
+
+
 def _oracle(args, ring, A, B):
+    if ring.characteristic > ORACLE_MAX_MODULUS:
+        raise ListingTooLarge(f"oracle needs a modulus of at most {ORACLE_MAX_MODULUS}, "
+                              f"got {ring.literal}")
     tables = brute_force_hom_set(A, B)
     lines = [f"count {len(tables)}"] + [", ".join(f"{x}->{y}" for x, y in t) for t in tables]
     return formats.tables_to_json(tables), "\n".join(lines), 0

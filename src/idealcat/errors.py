@@ -46,6 +46,10 @@ class InfiniteObjectClass(IdealCatError):
     """Enumeration requested over a backend with infinitely many ideals."""
 
 
+class ListingTooLarge(IdealCatError):
+    """An explicit listing would exceed its documented size limit."""
+
+
 class DoesNotExist(IdealCatError):
     """A construction that provably does not exist for the given input."""
 

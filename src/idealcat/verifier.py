@@ -34,7 +34,9 @@ audits put each construction a rule returns through that test (a miss is
 a failure) and search Z_n exhaustively only where the rule refuses: a
 construction the search certifies there is reported with status
 ``discrepancy`` and a machine-checkable witness, and does not fail the
-suite.
+suite. The biproduct search first counts hom-sets: an apex with fewer maps
+into it (or out of it) at some object than there are cones there cannot be
+universal, by the pigeonhole principle, so no pair of legs is tried on it.
 
 ``law_mutations`` documents five single-law defects (composition,
 addition, kernel, factorization image, splitting corestriction); each is
@@ -1050,8 +1052,24 @@ def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
 
 
 def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
+    """Every (P, p1, p2, i1, i2) whose two cones pass ``_universal``.
+
+    An apex P is skipped, before any pair of legs is tried, when at some
+    object C it has fewer maps in or out than there are cones there:
+    |hom(C, P)| < |hom(C, A)| |hom(C, B)| or |hom(P, C)| < |hom(A, C)|
+    |hom(B, C)|. This is the pigeonhole principle, not a heuristic. The maps
+    of one hom-set have distinct canonical multipliers, so distinct cones
+    have distinct keys in ``_universal``'s count; with fewer maps than cones
+    some cone is hit no time, and ``_universal`` rejects every product (or
+    every coproduct) with apex P, whatever ``compose`` returns. A skipped P
+    adds nothing to the list the unbounded loop builds.
+    """
     found = []
     for P in w.objects:
+        if any(len(w.hom[(C, P)]) < len(w.hom[(C, A)]) * len(w.hom[(C, B)])
+               or len(w.hom[(P, C)]) < len(w.hom[(A, C)]) * len(w.hom[(B, C)])
+               for C in w.objects):
+            continue
         products = [(p1, p2) for p1, p2 in product(w.hom[(P, A)], w.hom[(P, B)])
                     if _universal(w, P, (p1, p2), True) is None]
         coproducts = [(i1, i2) for i1, i2 in product(w.hom[(A, P)], w.hom[(B, P)])

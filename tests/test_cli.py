@@ -280,6 +280,20 @@ def test_compose_refuses_to_render_a_degree_above_the_literal_limit():
     assert "above the literal limit 4096" in json.loads(proc.stdout)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("homs", "--ring", "zmod:100000000", "<1>", "<1>"), "above the listing limit 100000"),
+    (("oracle", "--ring", "zmod:2000", "<1>", "<1>"), "modulus of at most 128"),
+])
+def test_listings_above_their_limit_are_refused(argv, message):
+    # homs once ran out of memory here, and oracle took minutes
+    proc = _cli_child(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    proc = _cli_child(*argv, "--json")
+    assert json.loads(proc.stdout)["error"]["type"] == "ListingTooLarge"
+
+
 def test_paper_mode_rejects_fraction_literal(run_cli):
     code, _ = run_cli("kernel", "--ring", "z", "rho(2;3/2;3)", "--mode", "paper")
     assert code == 1
@@ -359,11 +373,13 @@ def test_morphism_json_shape():
 
 
 # --- fuzz: every command, random and valid operands ---------------------------
-# Moduli stop at 30, and verify (exhaustive over zmod:n) at 12, so the fuzz
-# stays a few seconds long. Larger moduli stay out because hom-set listings
-# have no cap yet: `homs --ring zmod:100000000` runs out of memory.
+# The exit-code fuzz draws moduli up to 10^9 (LARGE_FUZZ_RINGS): hom-set
+# listings and the oracle refuse what they cannot list quickly. Only verify,
+# exhaustive over zmod:n, stops at 12. The read-back fuzz parses every listed
+# morphism again, so its moduli stop at 30; both stay a few seconds long.
 
 FUZZ_RINGS = st.sampled_from(["z", "qpoly"]) | st.integers(2, 30).map(lambda n: f"zmod:{n}")
+LARGE_FUZZ_RINGS = FUZZ_RINGS | st.integers(2, 10**9).map(lambda n: f"zmod:{n}")
 FUZZ_SNIPPETS = ["", " ", "<", "<>", "<0>", "<1,>", "rho(", "rho(1;;1)", "rho(0;0;0)",
                  "rho(1;1/0;1)", "rho(x;(x)/(0);x)", "1/0", "x^99999", "(x)/(x+1)", "--json"]
 
@@ -417,7 +433,7 @@ def test_every_command_exits_with_a_documented_code(name, data):
         ring = f"zmod:{data.draw(st.integers(2, 12))}"
         flags = ["--seed", str(data.draw(st.integers(0, 9)))]
     else:
-        ring, flags = data.draw(FUZZ_RINGS), []
+        ring, flags = data.draw(LARGE_FUZZ_RINGS), []
     junk = st.sampled_from(FUZZ_SNIPPETS) | st.text(max_size=10)
     operands = [data.draw(st.just(text) | junk)
                 for text in data.draw(valid_operands(ring, command.operands))]

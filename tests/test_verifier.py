@@ -7,8 +7,16 @@ from itertools import product
 import pytest
 
 from idealcat import verifier
-from idealcat.constructions import CokernelPair, KernelPair, biproduct, cokernel, kernel
+from idealcat.constructions import (
+    Biproduct,
+    CokernelPair,
+    KernelPair,
+    biproduct,
+    cokernel,
+    kernel,
+)
 from idealcat.errors import CokernelDoesNotExist, RingMismatch
+from idealcat.formats import parse_ideal, parse_morphism
 from idealcat.fracfield import Fraction
 from idealcat.ideals import (
     FULL,
@@ -425,6 +433,91 @@ def test_search_biproduct_examples():
     assert biproduct(two, three) in found
     assert search_biproduct(zero, two)  # nonempty
     assert search_biproduct(one, one) == []
+
+
+def _unbounded_search_biproduct(w, A, B):
+    """The biproduct search as it was before apexes were counted out: every
+    pair of legs on every apex goes through the cone test."""
+    found = []
+    for P in w.objects:
+        products = [(p1, p2) for p1, p2 in product(w.hom[(P, A)], w.hom[(P, B)])
+                    if verifier._universal(w, P, (p1, p2), True) is None]
+        coproducts = [(i1, i2) for i1, i2 in product(w.hom[(A, P)], w.hom[(B, P)])
+                      if verifier._universal(w, P, (i1, i2), False) is None]
+        found += [Biproduct(P, *ps, *cs) for ps in products for cs in coproducts]
+    return found
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_counting_hom_sets_keeps_every_biproduct_the_unbounded_search_finds(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    for A, B in product(w.objects, repeat=2):
+        assert search_biproduct(A, B) == _unbounded_search_biproduct(w, A, B), (A, B)
+    # biproducts exist where the intersection is zero, so the lists are not all empty
+    zero, two = ideal_new(ModularRing(n), []), ideal_new(ModularRing(n), [2])
+    assert search_biproduct(zero, two)
+
+
+def test_counting_hom_sets_skips_most_cone_tests(monkeypatch):
+    # audit_existence(zmod:12) ran 2,254 cone tests while every apex was tried
+    calls = Counter()
+    universal = verifier._universal
+
+    def counted(*args):
+        calls["universal"] += 1
+        return universal(*args)
+
+    monkeypatch.setattr(verifier, "_universal", counted)
+    verifier.audit_existence(ModularRing(12))
+    assert calls["universal"] <= 600, calls
+
+
+# sha256 of verify_ring(zmod:n, Bounds(search_ceiling=n)), audits included,
+# recorded while the biproduct search still tried every apex.
+AUDITED_REPORT_SHA256 = {
+    24: "e6927ee424ce94eb0a737b7526cd08328fb704ffe8669115e66b439e7db50ce1",
+    36: "769fcd9ae9803a5160b906501332d6e636303680cd701100efaba141880a2ecf",
+}
+
+
+@pytest.mark.parametrize("n", sorted(AUDITED_REPORT_SHA256))
+def test_audited_reports_match_the_recorded_digests(n):
+    report = verify_ring(ModularRing(n), Bounds(search_ceiling=n))
+    assert _sha256(report) == AUDITED_REPORT_SHA256[n]
+
+
+# Witness keys whose values are prose; counts and flags are skipped by their type.
+_PROSE_KEYS = {"law", "error", "rule", "certificate"}
+
+
+def _witness_literals(witness):
+    """(key, text) for every rendered value in a witness."""
+    return [(key, value) for key, value in witness.items()
+            if key not in _PROSE_KEYS and not isinstance(value, (bool, int))]
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_mutant_witnesses_parse_back_into_the_ring(n):
+    ring = ModularRing(n)
+    objects = enumerate_objects(ring)
+    seen = Counter()
+    for laws in [*law_mutations().values(), *LOCAL_MUTANTS.values()]:
+        report = check_axioms(ring, Bounds(seed=3, samples=20), FULL, laws)
+        for check in report.checks:
+            if check.witness is None:
+                continue
+            for key, text in _witness_literals(check.witness):
+                if key == "x":
+                    assert ring.parse_element(text) in ideal_elements(objects[1]), (key, text)
+                elif text.startswith("rho("):
+                    f = parse_morphism(ring, text)
+                    assert f.literal == text
+                    assert f in enumerate_hom(f.dom, f.cod).elements, (check.name, text)
+                else:
+                    A = parse_ideal(ring, text)
+                    assert A.literal == text and A in objects, (check.name, text)
+                seen[key] += 1
+    assert seen["f"] and seen["x"] and seen["kernel"], seen
 
 
 def test_verify_ring_z6_records_the_discrepancy():
