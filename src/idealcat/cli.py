@@ -22,7 +22,6 @@ from .errors import DoesNotExist, IdealCatError, ListingTooLarge, ParseError
 from .hasse import poset_dot
 from .ideals import FULL, MODES, apply, compose, enumerate_hom, enumerate_objects, hom_add
 from .rings import ring_from_literal
-from .verifier import Bounds, brute_force_hom_set, verify_ring
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +52,8 @@ def _poset(args, ring):
 
 
 def _verify(args, ring):
+    from .verifier import Bounds, verify_ring  # loaded here: only verify and oracle need it
+
     bounds = Bounds(seed=args.seed, max_abs=args.max_abs, search_ceiling=args.max_n)
     report = verify_ring(ring, bounds, args.mode)
     t = report.totals
@@ -69,6 +70,8 @@ def _oracle(args, ring, A, B):
     if ring.characteristic > ORACLE_MAX_MODULUS:
         raise ListingTooLarge(f"oracle needs a modulus of at most {ORACLE_MAX_MODULUS}, "
                               f"got {ring.literal}")
+    from .verifier import brute_force_hom_set
+
     tables = brute_force_hom_set(A, B)
     lines = [f"count {len(tables)}"] + [", ".join(f"{x}->{y}" for x, y in t) for t in tables]
     return formats.tables_to_json(tables), "\n".join(lines), 0
@@ -144,8 +147,7 @@ def _operand(letter: str, text: str, ring, mode: str):
 def _human(result, labels: tuple[str, ...]) -> str:
     if not labels:
         return result.literal
-    parts = result if isinstance(result, tuple) else vars(result).values()
-    return "\n".join(f"{label} {part.literal}" for label, part in zip(labels, parts))
+    return "\n".join(f"{label} {part.literal}" for label, part in zip(labels, result))
 
 
 def main(argv=None) -> int:

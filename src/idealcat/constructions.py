@@ -11,7 +11,6 @@ constructed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -61,8 +60,7 @@ class Splitting(NamedTuple):
     section: Morphism
 
 
-@dataclass(frozen=True)
-class Biproduct:
+class Biproduct(NamedTuple):
     """Simultaneous product and coproduct of two ideals with projections
     p1, p2 and injections i1, i2 satisfying p1 i1 = 1, p2 i2 = 1,
     p1 i2 = 0, p2 i1 = 0 and i1 p1 + i2 p2 = 1."""

@@ -9,6 +9,8 @@ literal: ``rho(<a>;<s>;<b>)`` with ``<s>`` a multiplier literal ``p`` or
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .constructions import (
     Biproduct,
     CokernelPair,
@@ -20,7 +22,9 @@ from .errors import ParseError, RingMismatch
 from .fracfield import format_fraction, parse_fraction
 from .ideals import FULL, HomSet, Ideal, Morphism, ideal_new, morphism_new
 from .rings import Ring, ring_from_literal
-from .verifier import FunctionTable, Report
+
+if TYPE_CHECKING:  # the verifier loads only when verify or oracle runs
+    from .verifier import FunctionTable, Report
 
 
 def parse_ideal(ring: Ring, text: str) -> Ideal:

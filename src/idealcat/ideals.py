@@ -21,7 +21,6 @@ All values are immutable and every operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     HomMismatch,
@@ -46,20 +45,57 @@ MODES = (FULL, PAPER)
 MAX_HOM_LISTING = 100_000
 
 
-@dataclass(frozen=True)
-class Ideal:
+_fill = object.__setattr__  # sets a slot of a value under construction
+
+
+class _Value:
+    """An immutable value: __init__ fills each slot once, and then setting or
+    deleting an attribute raises AttributeError. repr shows the fields
+    equality compares, ``_shown``. __reduce__ rebuilds through __init__ from
+    every slot, so copy, deepcopy and pickle work despite __setattr__."""
+
+    __slots__ = ()
+    _shown: tuple[str, ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Ideal(_Value):
     """A principal ideal <generator> of its ring. The generator must be
-    canonical; ideal_new normalizes any generator list."""
+    canonical; ideal_new normalizes any generator list. The generators it
+    was built from, ``given_generators``, are provenance: equality, hash and
+    repr leave them out."""
 
-    ring: Ring
-    generator: RingElement
-    given_generators: tuple = field(default=(), compare=False, repr=False)
+    __slots__ = ("ring", "generator", "given_generators")
+    _shown = ("ring", "generator")
 
-    def __post_init__(self):
-        canonical = self.ring.canonical(self.generator)
-        if canonical is not self.generator and canonical != self.generator:
-            raise ValueError(f"{self.generator!r} is not a canonical generator of {self.ring}: "
+    def __init__(self, ring: Ring, generator: RingElement, given_generators: tuple = ()):
+        _fill(self, "ring", ring)
+        _fill(self, "generator", generator)
+        _fill(self, "given_generators", given_generators)
+        canonical = ring.canonical(generator)
+        if canonical is not generator and canonical != generator:
+            raise ValueError(f"{generator!r} is not a canonical generator of {ring}: "
                              "build ideals with ideal_new")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.generator) == (other.ring, other.generator)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.generator))
 
     @property
     def is_zero(self) -> bool:
@@ -73,13 +109,23 @@ class Ideal:
         return self.literal
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Value):
     """The map x -> x * multiplier from dom to cod, multiplier canonical."""
 
-    dom: Ideal
-    cod: Ideal
-    multiplier: Fraction
+    __slots__ = _shown = ("dom", "cod", "multiplier")
+
+    def __init__(self, dom: Ideal, cod: Ideal, multiplier: Fraction):
+        _fill(self, "dom", dom)
+        _fill(self, "cod", cod)
+        _fill(self, "multiplier", multiplier)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.multiplier) == (other.dom, other.cod, other.multiplier)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.multiplier))
 
     @property
     def is_zero(self) -> bool:
@@ -103,8 +149,7 @@ class Morphism:
         return compose(self, other)
 
 
-@dataclass(frozen=True)
-class HomSet:
+class HomSet(_Value):
     """All morphisms dom -> cod, as a cyclic description.
 
     The set is every ring multiple of ``base``. Over Z_n the multipliers
@@ -112,11 +157,24 @@ class HomSet:
     morphism explicitly; over the infinite backends both stay None.
     """
 
-    dom: Ideal
-    cod: Ideal
-    base: Fraction
-    modulus: int | None = None
-    elements: tuple[Morphism, ...] | None = None
+    __slots__ = _shown = ("dom", "cod", "base", "modulus", "elements")
+
+    def __init__(self, dom: Ideal, cod: Ideal, base: Fraction, modulus: int | None = None,
+                 elements: tuple[Morphism, ...] | None = None):
+        _fill(self, "dom", dom)
+        _fill(self, "cod", cod)
+        _fill(self, "base", base)
+        _fill(self, "modulus", modulus)
+        _fill(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.dom, self.cod, self.base, self.modulus, self.elements)
+                    == (other.dom, other.cod, other.base, other.modulus, other.elements))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.base, self.modulus, self.elements))
 
 
 def _require_same_ring(a, b) -> None:

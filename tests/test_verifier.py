@@ -353,7 +353,7 @@ def _doubled_inclusion(f):
 
 def _zero_first_projection(A, B):
     bp = biproduct(A, B)
-    return replace(bp, p1=zero_morphism(bp.object, A))
+    return bp._replace(p1=zero_morphism(bp.object, A))
 
 
 # Defects planted in the verifier's namespace: (attribute, planted value, the
