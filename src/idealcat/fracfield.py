@@ -11,7 +11,9 @@ denominator of 1 it returns at once, when either side is a unit (a
 nonzero constant polynomial, or +-1) the gcd is a unit and is not
 computed, and a gcd of 1 or a denominator that is already canonical
 divides nothing. Over Z_n, ``+`` and ``*`` of two fractions over 1 skip
-fraction_reduce: the ring's sum and product are residues already.
+fraction_reduce and the ring's methods: they are one integer sum or
+product modulo n. ``+``, ``*`` and ``==`` test the two rings for identity
+before calling the ring's equality.
 
 Text form: ``p`` or ``p/q``. A ring whose element literals contain ``/``
 (qpoly's rational coefficients) sets ``parenthesized_fractions``, and
@@ -67,10 +69,12 @@ class Fraction:
             raise RingMismatch(f"fractions over {self.ring} and {other.ring}")
 
     def __add__(self, other: Fraction) -> Fraction:
-        self._require_same_ring(other)
         r = self.ring
-        if not r.is_domain and self.den == other.den == r.one:  # Z_n residues: reduced already
-            return Fraction(r, r.add(self.num, other.num), r.one)
+        if other.ring is not r:
+            self._require_same_ring(other)
+        n = r.characteristic
+        if n and self.den == 1 and other.den == 1:  # Z_n residues
+            return Fraction(r, (self.num + other.num) % n, 1)
         num = r.add(r.mul(self.num, other.den), r.mul(other.num, self.den))
         return fraction_reduce(r, num, r.mul(self.den, other.den))
 
@@ -81,16 +85,18 @@ class Fraction:
         return self + (-other)
 
     def __mul__(self, other: Fraction) -> Fraction:
-        self._require_same_ring(other)
         r = self.ring
-        if not r.is_domain and self.den == other.den == r.one:
-            return Fraction(r, r.mul(self.num, other.num), r.one)
+        if other.ring is not r:
+            self._require_same_ring(other)
+        n = r.characteristic
+        if n and self.den == 1 and other.den == 1:  # Z_n residues
+            return Fraction(r, self.num * other.num % n, 1)
         return fraction_reduce(r, r.mul(self.num, other.num), r.mul(self.den, other.den))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Fraction)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.num == other.num
             and self.den == other.den
         )

@@ -7,8 +7,17 @@ multiplier s, stored so that morphism equality coincides with pointwise
 equality of the underlying functions:
 
 * multipliers out of the zero ideal collapse to 0;
-* over Z_n with dom = <a>, a != 0, the multiplier is reduced mod n/a;
+* over Z_n with dom = <a>, a != 0, the multiplier is the least residue
+  k/1 modulo n/a;
 * over Z and Q[x] the multiplier is a reduced fraction, which is unique.
+
+Over Z_n every morphism operation is a few integer operations. Each Ideal
+computes n/a once, as ``_modulus`` (1 for <0>), and keeps its hash after
+the first. A multiplier that is already a residue in [0, n/a) is kept as
+it is, so compose and hom_add allocate the Fraction product or sum, a
+second Fraction only when that must be reduced, and the Morphism.
+``apply`` tests membership as x % a and returns x * k % n. Identical
+ideals and rings are recognized by ``is`` before any equality method runs.
 
 Two multiplier universes are supported. In ``full`` mode (the default)
 multipliers over the domain backends range over the fraction field, which
@@ -48,14 +57,22 @@ MAX_HOM_LISTING = 100_000
 _fill = object.__setattr__  # sets a slot of a value under construction
 
 
+def _slot_setters(cls) -> tuple:
+    """Each slot's descriptor ``__set__``, in slot order: a faster _fill for
+    one fixed slot (about half the cost of object.__setattr__)."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
 class _Value:
     """An immutable value: __init__ fills each slot once, and then setting or
     deleting an attribute raises AttributeError. repr shows the fields
     equality compares, ``_shown``. __reduce__ rebuilds through __init__ from
-    every slot, so copy, deepcopy and pickle work despite __setattr__."""
+    its arguments, ``_fields``, so copy, deepcopy and pickle work despite
+    __setattr__, and slots derived from them are computed afresh."""
 
     __slots__ = ()
     _shown: tuple[str, ...]
+    _fields: tuple[str, ...]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -68,34 +85,47 @@ class _Value:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Ideal(_Value):
     """A principal ideal <generator> of its ring. The generator must be
     canonical; ideal_new normalizes any generator list. The generators it
     was built from, ``given_generators``, are provenance: equality, hash and
-    repr leave them out."""
+    repr leave them out.
 
-    __slots__ = ("ring", "generator", "given_generators")
+    Two derived slots serve the Z_n fast path: ``_modulus``, the modulus of
+    the multipliers out of the ideal (n // generator over Z_n, 1 for <0>, 0
+    over the domains), and ``_hash``, filled on the first hash."""
+
+    _fields = ("ring", "generator", "given_generators")
+    __slots__ = (*_fields, "_modulus", "_hash")
     _shown = ("ring", "generator")
 
     def __init__(self, ring: Ring, generator: RingElement, given_generators: tuple = ()):
-        _fill(self, "ring", ring)
-        _fill(self, "generator", generator)
-        _fill(self, "given_generators", given_generators)
+        _set_ring(self, ring)
+        _set_generator(self, generator)
+        _set_given_generators(self, given_generators)
         canonical = ring.canonical(generator)
         if canonical is not generator and canonical != generator:
             raise ValueError(f"{generator!r} is not a canonical generator of {ring}: "
                              "build ideals with ideal_new")
+        n = ring.characteristic
+        _set_modulus(self, (n // generator if generator else 1) if n else 0)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is self.__class__:
             return (self.ring, self.generator) == (other.ring, other.generator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.generator))
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, hash((self.ring, self.generator)))
+            return self._hash
 
     @property
     def is_zero(self) -> bool:
@@ -109,15 +139,18 @@ class Ideal(_Value):
         return self.literal
 
 
+_set_ring, _set_generator, _set_given_generators, _set_modulus, _set_hash = _slot_setters(Ideal)
+
+
 class Morphism(_Value):
     """The map x -> x * multiplier from dom to cod, multiplier canonical."""
 
-    __slots__ = _shown = ("dom", "cod", "multiplier")
+    __slots__ = _shown = _fields = ("dom", "cod", "multiplier")
 
     def __init__(self, dom: Ideal, cod: Ideal, multiplier: Fraction):
-        _fill(self, "dom", dom)
-        _fill(self, "cod", cod)
-        _fill(self, "multiplier", multiplier)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_multiplier(self, multiplier)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -149,6 +182,9 @@ class Morphism(_Value):
         return compose(self, other)
 
 
+_set_dom, _set_cod, _set_multiplier = _slot_setters(Morphism)
+
+
 class HomSet(_Value):
     """All morphisms dom -> cod, as a cyclic description.
 
@@ -157,7 +193,7 @@ class HomSet(_Value):
     morphism explicitly; over the infinite backends both stay None.
     """
 
-    __slots__ = _shown = ("dom", "cod", "base", "modulus", "elements")
+    __slots__ = _shown = _fields = ("dom", "cod", "base", "modulus", "elements")
 
     def __init__(self, dom: Ideal, cod: Ideal, base: Fraction, modulus: int | None = None,
                  elements: tuple[Morphism, ...] | None = None):
@@ -222,11 +258,13 @@ def _as_fraction(ring: Ring, value) -> Fraction:
 
 
 def _canonical_multiplier(dom: Ideal, s: Fraction) -> Fraction:
+    m = dom._modulus
+    if m:  # Z_n: the least residue modulo n/a, which is 0 out of <0>
+        if 0 <= s.num < m and s.den == 1:
+            return s
+        return Fraction(dom.ring, s.num % m, 1)
     if dom.is_zero:
         return Fraction.zero(dom.ring)
-    n = dom.ring.characteristic
-    if n:
-        return Fraction(dom.ring, s.num % (n // dom.generator), dom.ring.one)
     return s
 
 
@@ -279,15 +317,15 @@ def is_inclusion(f: Morphism) -> bool:
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """g after f; multipliers multiply."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise NotComposable(f"cod {f.cod} of f differs from dom {g.dom} of g")
-    return _raw_morphism(f.dom, g.cod, f.multiplier * g.multiplier)
+    return Morphism(f.dom, g.cod, _canonical_multiplier(f.dom, f.multiplier * g.multiplier))
 
 
 def hom_add(f: Morphism, g: Morphism) -> Morphism:
-    if f.dom != g.dom or f.cod != g.cod:
+    if (f.dom is not g.dom and f.dom != g.dom) or (f.cod is not g.cod and f.cod != g.cod):
         raise HomMismatch(f"cannot add {f} and {g}")
-    return _raw_morphism(f.dom, f.cod, f.multiplier + g.multiplier)
+    return Morphism(f.dom, f.cod, _canonical_multiplier(f.dom, f.multiplier + g.multiplier))
 
 
 def hom_neg(f: Morphism) -> Morphism:
@@ -298,10 +336,14 @@ def apply(f: Morphism, x: RingElement) -> RingElement:
     """Evaluate the morphism at x; the result lies in f.cod."""
     ring = f.dom.ring
     x = ring.coerce(x)
-    if not contains_element(f.dom, x):
-        raise NotInDomain(f"{ring.format_element(x)} is not in {f.dom}")
     s = f.multiplier
-    return ring.exact_div(ring.mul(x, s.num), s.den)
+    n = ring.characteristic
+    if n:  # Z_n: <a> holds the multiples of a, <0> only 0, and s is k/1
+        if not x % (f.dom.generator or n):
+            return x * s.num % n
+    elif contains_element(f.dom, x):
+        return ring.exact_div(ring.mul(x, s.num), s.den)
+    raise NotInDomain(f"{ring.format_element(x)} is not in {f.dom}")
 
 
 def image(f: Morphism) -> Ideal:

@@ -482,7 +482,7 @@ def _expected(name: str, ring, mode: str, operands: list):
     result = getattr(cli, _COMMANDS[name].operation)(*operands)
     if not _COMMANDS[name].labels:
         return [result]
-    return list(result if isinstance(result, tuple) else vars(result).values())
+    return list(result)  # every codec result is a NamedTuple
 
 
 ROUND_TRIP_COMMANDS = sorted(name for name, c in _COMMANDS.items()

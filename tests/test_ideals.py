@@ -17,6 +17,7 @@ from idealcat.fracfield import Fraction, fraction_reduce
 from idealcat.ideals import (
     HomSet,
     Ideal,
+    Morphism,
     all_morphisms,
     apply,
     compose,
@@ -286,6 +287,96 @@ def test_zmod_operations_match_integer_formulas(n):
                 zero_set = [x for x, y in zip(dom_elements, values) if y == 0]
                 assert kernel_generator(f) == math.gcd(n, *zero_set) % n
                 assert is_epi(f) == (set(values) == set(range(0, n, b)))
+
+
+class GenericZmod:
+    """Reference for the Z_n morphism operations: the generic Fraction and
+    ring formula that the Z_n fast path of idealcat.ideals replaces, written
+    with the ring's methods only. The multiplier out of <a> is its residue
+    modulo n/a, and 0 out of <0>. compose multiplies and hom_add adds the
+    numerators in the ring. apply tests membership with ring.divides and
+    evaluates ring.exact_div(ring.mul(x, num), den)."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def morphism(self, dom, cod, num):
+        ring = self.ring
+        if ring.is_zero(dom.generator):
+            return Morphism(dom, cod, Fraction(ring, ring.zero, ring.one))
+        return Morphism(dom, cod, Fraction(ring, num % (ring.characteristic // dom.generator),
+                                           ring.one))
+
+    def sends_into(self, dom, cod, num):
+        ring = self.ring
+        return (ring.is_zero(dom.generator)
+                or ring.divides(cod.generator, ring.mul(num, dom.generator)))
+
+    def compose(self, g, f):
+        return self.morphism(f.dom, g.cod, self.ring.mul(f.multiplier.num, g.multiplier.num))
+
+    def hom_add(self, f, g):
+        return self.morphism(f.dom, f.cod, self.ring.add(f.multiplier.num, g.multiplier.num))
+
+    def hom_neg(self, f):
+        return self.morphism(f.dom, f.cod, self.ring.neg(f.multiplier.num))
+
+    def apply(self, f, x):
+        ring = self.ring
+        x = ring.coerce(x)
+        if not ring.divides(f.dom.generator, x):
+            raise NotInDomain(f"{ring.format_element(x)} is not in {f.dom}")
+        return ring.exact_div(ring.mul(x, f.multiplier.num), f.multiplier.den)
+
+
+def _same(value, expected):
+    assert (value, hash(value), repr(value)) == (expected, hash(expected), repr(expected))
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_zmod_fast_path_matches_the_generic_formula(n):
+    """compose, hom_add, hom_neg, apply and morphism_new over every pair of
+    objects of Z_n, the zero ideal included, against GenericZmod. Each
+    morphism also has a twin over an equal but distinct ModularRing(n),
+    with equal but distinct ideals, so that the identity short-cuts meet
+    values that are only equal."""
+    ring, other = ModularRing(n), ModularRing(n)
+    ref = GenericZmod(ring)
+    objects = enumerate_objects(ring)
+    hom = {(A, B): enumerate_hom(A, B).elements for A in objects for B in objects}
+
+    def twin(f):
+        dom, cod = Ideal(other, f.dom.generator), Ideal(other, f.cod.generator)
+        return morphism_new(dom, cod, Fraction(other, f.multiplier.num, other.one))
+
+    for (A, B), fs in hom.items():
+        for k in range(-n, 2 * n):  # below 0 and at or above n/a as well
+            for multiplier in (k, Fraction(other, k % n, other.one)):
+                if ref.sends_into(A, B, ring.coerce(k)):
+                    _same(morphism_new(A, B, multiplier), ref.morphism(A, B, ring.coerce(k)))
+                else:
+                    with pytest.raises(InvalidMultiplier):
+                        morphism_new(A, B, multiplier)
+        for f in fs:
+            _same(hom_neg(f), ref.hom_neg(f))
+            _same(hom_neg(twin(f)), ref.hom_neg(f))
+            for g in fs:
+                _same(hom_add(f, g), ref.hom_add(f, g))
+                _same(hom_add(f, twin(g)), ref.hom_add(f, g))
+            for x in range(-n, 2 * n):
+                try:
+                    expected = ref.apply(f, x)
+                except NotInDomain as refused:
+                    with pytest.raises(NotInDomain) as raised:
+                        apply(f, x)
+                    assert str(raised.value) == str(refused)
+                else:
+                    assert apply(f, x) == expected
+            for C in objects:
+                for g in hom[(B, C)]:
+                    _same(compose(g, f), ref.compose(g, f))
+                    _same(compose(twin(g), f), ref.compose(g, f))
+                    _same(compose(g, twin(f)), ref.compose(g, f))
 
 
 def test_enumerate_hom_zmod():

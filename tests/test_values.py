@@ -1,6 +1,7 @@
 """Value semantics of Ideal, Morphism, HomSet and Biproduct: repr text,
-equality and hashing that ignore the given generators, immutability, and
-copy, deepcopy and pickle round trips."""
+equality and hashing that ignore the given generators, immutability,
+copy, deepcopy and pickle round trips before and after the first hash,
+and the derived slots kept out of repr, equality and __reduce__."""
 
 import copy
 import pickle
@@ -105,9 +106,24 @@ def test_assignment_raises_attribute_error(kind):
                          ids=["copy", "deepcopy", "pickle"])
 def test_copies_are_equal_values(values, duplicate):
     for kind, value in values().items():
-        twin = duplicate(value)
-        assert type(twin) is type(value), kind
-        assert twin == value and hash(twin) == hash(value), kind
-        assert repr(twin) == repr(value), kind
+        unhashed = duplicate(value)
+        hash(value)  # an Ideal keeps its hash from now on
+        for twin in (unhashed, duplicate(value)):
+            assert type(twin) is type(value), kind
+            assert twin == value and hash(twin) == hash(value), kind
+            assert repr(twin) == repr(value), kind
     ideal = values()["ideal"]
     assert duplicate(ideal).given_generators == ideal.given_generators
+
+
+@pytest.mark.parametrize("values", [_zmod12_values, _qpoly_values], ids=["zmod:12", "qpoly"])
+def test_cached_fields_stay_out_of_repr_eq_and_reduce(values):
+    A, f = values()["ideal"], values()["morphism"]
+    hash(A)
+    assert A.__reduce__() == (Ideal, (A.ring, A.generator, A.given_generators))
+    assert f.__reduce__() == (type(f), (f.dom, f.cod, f.multiplier))
+    assert "_modulus" not in repr(A) and "_hash" not in repr(A)
+    fresh = Ideal(A.ring, A.generator)  # nothing cached yet
+    assert fresh == A and A == fresh and hash(fresh) == hash(A)
+    assert repr(fresh) == repr(A)
+
