@@ -122,7 +122,7 @@ def biproduct(A: Ideal, B: Ideal) -> Biproduct:
         return Biproduct(obj, p1, p2, i1, i2)
     ring = A.ring
     n = ring.characteristic
-    m1, m2 = n // A.generator, n // B.generator
+    m1, m2 = A._modulus, B._modulus
     s1 = _crt_one_zero(m1, m2)
     s2 = _crt_one_zero(m2, m1)
     p1 = morphism_new(obj, A, Fraction(ring, s1 % n, ring.one))

@@ -250,7 +250,7 @@ def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     a = A.generator
     if a == 0:
         return [((0, 0),)]
-    m = n // a
+    m = n // a  # not A._modulus: the oracle stays independent of the fast path
     tables = []
     for y in ideal_elements(B):
         if (m * y) % n:

@@ -387,6 +387,8 @@ def test_enumerate_hom_zmod():
     assert hs.modulus == 6 and hs.base.num == 2
     hs = enumerate_hom(z6i(0), z6i(2))
     assert len(hs.elements) == 1 and hs.elements[0].is_zero
+    assert hs == HomSet(z6i(0), z6i(2), Fraction.zero(Z6), 1, (zero_morphism(z6i(0), z6i(2)),))
+    assert z6i(0)._modulus == 1 and z6i(2)._modulus == 3 and zi(2)._modulus == 0
 
 
 def test_enumerate_hom_domains():
