@@ -5,8 +5,10 @@ parse errors, 2 mathematical non-existence (cokernel/biproduct/splitting/
 inclusion refusals), 3 verification failure (any fail entry in a report).
 
 Listings are bounded: ``homs`` over Z_n refuses a hom-set of more than
-``ideals.MAX_HOM_LISTING`` morphisms, and ``oracle`` refuses a modulus above
-``ORACLE_MAX_MODULUS``; both with ListingTooLarge, exit 1.
+``ideals.MAX_HOM_LISTING`` morphisms, ``objects``, ``poset`` and ``verify``
+refuse Z_n with n above ``ideals.MAX_OBJECT_MODULUS`` (10^12), and ``oracle``
+refuses a modulus above ``ORACLE_MAX_MODULUS``; each with ListingTooLarge,
+exit 1.
 """
 
 from __future__ import annotations

@@ -2,23 +2,30 @@
 
 from __future__ import annotations
 
-from .ideals import Ideal, enumerate_objects, is_subideal
+from .ideals import Ideal, enumerate_objects
 from .rings import Ring
 
 
 def covering_pairs(objects: list[Ideal]) -> list[tuple[Ideal, Ideal]]:
-    """Pairs (A, B) with A strictly below B and nothing strictly between."""
+    """Pairs (A, B) with A strictly below B and nothing strictly between, in
+    the order of ``objects``: every ideal of one Z_n, as enumerate_objects
+    lists them.
+
+    An ideal of the cyclic group Z_n is fixed by its order |A| = A._modulus,
+    and A lies in B exactly when |A| divides |B|. So B covers A exactly when
+    |B| / |A| is a prime. The primes dividing n are the orders above 1 that
+    no smaller such prime divides. This takes time proportional to the
+    number of ideals times the number of primes; a pairwise search is cubic.
+    """
+    index = {A._modulus: i for i, A in enumerate(objects)}
+    primes: list[int] = []
+    for order in sorted(index)[1:]:
+        if all(order % p for p in primes):
+            primes.append(order)
     covers = []
     for A in objects:
-        for B in objects:
-            if A == B or not is_subideal(A, B):
-                continue
-            if any(
-                C != A and C != B and is_subideal(A, C) and is_subideal(C, B)
-                for C in objects
-            ):
-                continue
-            covers.append((A, B))
+        above = sorted(index[A._modulus * p] for p in primes if A._modulus * p in index)
+        covers += [(A, objects[i]) for i in above]
     return covers
 
 

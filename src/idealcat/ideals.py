@@ -54,6 +54,11 @@ MODES = (FULL, PAPER)
 # about 0.5 s and 130 MB (CPython 3.11).
 MAX_HOM_LISTING = 100_000
 
+# The largest modulus whose ideals enumerate_objects lists. The divisors of n
+# are found by trial division up to sqrt(n), about 0.05 s at the limit; above
+# it the request is refused with ListingTooLarge before anything is divided.
+MAX_OBJECT_MODULUS = 10**12
+
 
 class _Value:
     """An immutable value: __init__ fills each slot once, and then setting or
@@ -371,7 +376,11 @@ def is_epi(f: Morphism) -> bool:
 
 
 def enumerate_objects(ring: Ring) -> list[Ideal]:
-    """All ideals of Z_n: one per divisor of n, with <n> normalized to <0>."""
+    """All ideals of Z_n: one per divisor of n, with <n> normalized to <0>.
+    n above MAX_OBJECT_MODULUS raises ListingTooLarge."""
+    if ring.characteristic > MAX_OBJECT_MODULUS:
+        raise ListingTooLarge(f"{ring.literal} has a modulus above the limit "
+                              f"{MAX_OBJECT_MODULUS} for listing its ideals")
     return [Ideal(ring, g) for g in ring.ideal_generators()]
 
 

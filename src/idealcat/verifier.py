@@ -29,14 +29,16 @@ laws are deterministic functions of morphism values.
 
 The brute-force oracle rebuilds hom-sets as raw linear function tables
 from first principles, independent of the Morphism machinery. Over Z_n
-every universal property is one cone test, ``_universal``. The existence
-audits put each construction a rule returns through that test (a miss is
-a failure) and search Z_n exhaustively only where the rule refuses: a
-construction the search certifies there is reported with status
-``discrepancy`` and a machine-checkable witness, and does not fail the
-suite. The biproduct search first counts hom-sets: an apex with fewer maps
-into it (or out of it) at some object than there are cones there cannot be
-universal, by the pigeonhole principle, so no pair of legs is tried on it.
+every universal property is one cone test, ``_universal``, the zero object
+on the empty diagram included. The cokernel and the biproduct property are
+each one predicate, ``_is_cokernel`` and ``_is_biproduct``, for the axiom
+checks, the searches and the existence audits alike. The audits put each
+construction a rule returns through it (a miss is a failure) and search
+Z_n exhaustively only where the rule refuses: a construction the search
+certifies there is a ``discrepancy`` with a machine-checkable witness and
+does not fail the suite. The biproduct search first counts hom-sets: an
+apex with fewer maps into it (or out of it) at some object than there are
+cones there cannot be universal, by pigeonhole, so no legs are tried on it.
 
 ``law_mutations`` documents five single-law defects (composition,
 addition, kernel, factorization image, splitting corestriction); each is
@@ -51,6 +53,7 @@ import random
 from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from typing import Callable
 
@@ -83,6 +86,7 @@ from .ideals import (
     FULL,
     Ideal,
     Morphism,
+    _check_mode,
     _raw_morphism,
     _require_same_ring,
     apply,
@@ -135,6 +139,11 @@ class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "discrepancy"
     witness: dict | str | None = None
+
+
+def _verdict(name: str, witness: dict | None) -> CheckResult:
+    """A pass, or a fail with its witness."""
+    return CheckResult(name, "pass" if witness is None else "fail", witness)
 
 
 @dataclass
@@ -473,13 +482,16 @@ class _SampledWorld:
 
 def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: bool,
                admits: Callable[[tuple], bool] | None = None) -> tuple | None:
-    """The first admitted cone that the legs do not factor exactly once, or None.
+    """(C, cone) for the first admitted cone, at C, that the legs do not
+    factor exactly once, or None.
 
     Universality (Mac Lane, CWM III.1): at every object C, a limit's h -> (leg h)
     maps hom(C, apex) one to one onto the admitted tuples of maps C -> cod leg,
     and a colimit's h -> (h leg) maps hom(apex, C) onto those of dom leg -> C.
     Hits are counted once per C; cones are visited object by object in hom-set
     order, and ``admits`` (default: every cone) picks the cones that must be hit.
+    With no legs the one cone at C is empty, hit once per map C -> apex (apex
+    -> C for a colimit): the test of a terminal (initial) object.
     """
     for C in w.objects:  # each leg's maps share dom and cod, so multipliers tell them apart
         if limit:
@@ -492,7 +504,7 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
             cones = product(*(w.hom[(leg.dom, C)] for leg in legs))
         for cone in cones:
             if hits[tuple(g.multiplier for g in cone)] != 1 and (admits is None or admits(cone)):
-                return cone
+                return C, cone
     return None
 
 
@@ -744,15 +756,11 @@ def _idempotent_kernel(w):
 
 
 def _fin_zero_object(w: _FiniteWorld):
-    O = w.objects[0]
-    if not O.is_zero:
-        return {"law": "zero ideal missing from object list"}
-    for B in w.objects:
-        into, out = w.hom[(B, O)], w.hom[(O, B)]
-        if len(into) != 1 or not into[0].is_zero:
-            return {"object": B.literal, "law": "terminal"}
-        if len(out) != 1 or not out[0].is_zero:
-            return {"object": B.literal, "law": "initial"}
+    """The first object, <0>, is terminal and initial."""
+    for limit, law in ((True, "terminal"), (False, "initial")):
+        miss = _universal(w, w.objects[0], (), limit)
+        if miss is not None:
+            return {"object": miss[0].literal, "law": law}
     return None
 
 
@@ -783,9 +791,9 @@ def _fin_hom_oracle(w: _FiniteWorld):
 def _fin_kernel_universal(w: _FiniteWorld):
     for f in w.morphisms:
         K, j = w.laws.kernel(f)
-        cone = _universal(w, K, (j,), True, lambda c: compose(f, c[0]).is_zero)
-        if cone is not None:
-            return {"f": f.literal, "j'": cone[0].literal, "law": "unique factorization"}
+        miss = _universal(w, K, (j,), True, lambda c: compose(f, c[0]).is_zero)
+        if miss is not None:
+            return {"f": f.literal, "j'": miss[1][0].literal, "law": "unique factorization"}
     return None
 
 
@@ -795,24 +803,17 @@ def _fin_cokernel_universal(w: _FiniteWorld):
             E, p = cokernel(f)
         except CokernelDoesNotExist:
             continue
-        if compose(p, f) != zero_morphism(f.dom, E):
-            return {"f": f.literal, "law": "projection after f is zero"}
-        if _universal(w, E, (p,), False, lambda c: compose(c[0], f).is_zero) is not None:
-            return {"f": f.literal, "cokernel": E.literal, "law": "unique factorization"}
+        if not _is_cokernel(w, f, E, p):
+            return {"f": f.literal, "cokernel": E.literal, "law": "universal property"}
     return None
 
 
-def _fin_mono_cancellation(w: _FiniteWorld):
+def _fin_cancellation(w: _FiniteWorld, left: bool):
+    """is_mono (left) or is_epi agrees with literal cancellation."""
+    name, criterion = ("is_mono", is_mono) if left else ("is_epi", is_epi)
     for f in w.morphisms:
-        if is_mono(f) != w.cancellable(f, left=True):
-            return {"f": f.literal, "is_mono": is_mono(f)}
-    return None
-
-
-def _fin_epi_cancellation(w: _FiniteWorld):
-    for f in w.morphisms:
-        if is_epi(f) != w.cancellable(f, left=False):
-            return {"f": f.literal, "is_epi": is_epi(f)}
+        if criterion(f) != w.cancellable(f, left):
+            return {"f": f.literal, name: criterion(f)}
     return None
 
 
@@ -847,10 +848,8 @@ def _fin_biproduct(w: _FiniteWorld):
                     h = copair_from_coproduct(bp, g1, g2)
                     if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
                         return {"g1": g1.literal, "g2": g2.literal, "law": "copairing"}
-            if _universal(w, bp.object, (bp.p1, bp.p2), True) is not None:
-                return {"A": A.literal, "B": B.literal, "law": "pairing uniqueness"}
-            if _universal(w, bp.object, (bp.i1, bp.i2), False) is not None:
-                return {"A": A.literal, "B": B.literal, "law": "copairing uniqueness"}
+            if not _is_biproduct(w, bp):
+                return {"A": A.literal, "B": B.literal, "law": "universal property"}
     return None
 
 
@@ -892,8 +891,6 @@ def _smp_kernel_universal(w: _SampledWorld):
             j2 = w.hom_element(K2, f.dom)
         else:
             j2 = zero_morphism(K2, f.dom)
-        if compose(f, j2) != zero_morphism(K2, f.cod):
-            continue
         h = morphism_new(K2, K, j2.multiplier)
         if compose(j, h) != j2:
             return {"f": f.literal, "j'": j2.literal, "law": "existence"}
@@ -984,8 +981,8 @@ _CHECKS = [
     ("cokernel-universal", _fin_cokernel_universal, None),
     ("cokernel-rule", None, _smp_cokernel_rule),
     ("factorization-epi-inclusion", _factorization, _factorization),
-    ("mono-left-cancellation", _fin_mono_cancellation, None),
-    ("epi-right-cancellation", _fin_epi_cancellation, None),
+    ("mono-left-cancellation", partial(_fin_cancellation, left=True), None),
+    ("epi-right-cancellation", partial(_fin_cancellation, left=False), None),
     ("mono-criterion", None, _smp_mono_criterion),
     ("epi-criterion", None, _smp_epi_criterion),
     ("subobject-strict-preorder", _subobject_preorder, _subobject_preorder),
@@ -1002,7 +999,9 @@ def check_axioms(
     mode: str = FULL,
     laws: LawTable | None = None,
 ) -> Report:
-    """Run every axiom check for one ring; failures become report entries."""
+    """Run every axiom check for one ring; failures become report entries.
+    An unknown mode is a usage error: ValueError, before any check runs."""
+    _check_mode(mode)
     bounds = bounds or Bounds()
     laws = laws or STANDARD_LAWS
     exhaustive = ring.characteristic > 0
@@ -1016,8 +1015,7 @@ def check_axioms(
             witness = fn(world)
         except Exception as exc:  # mutated laws may raise anywhere mid-check
             witness = {"error": f"{type(exc).__name__}: {exc}"}
-        status = "pass" if witness is None else "fail"
-        report.checks.append(CheckResult(name, status, witness))
+        report.checks.append(_verdict(name, witness))
     return report
 
 
@@ -1037,21 +1035,23 @@ def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
             if _is_cokernel(w, f, E, p)]
 
 
+def _world(ring: Ring) -> _FiniteWorld:
+    """The Z_n category with the standard laws, for the searches and audits."""
+    return _FiniteWorld(_require_finite(ring), STANDARD_LAWS)
+
+
 def search_cokernel(f: Morphism) -> list[CokernelPair]:
     """Every (E, p) satisfying the full cokernel universal property, by
     exhaustive search over the Z_n category."""
-    ring = _require_finite(f.dom.ring)
-    return _search_cokernel(_FiniteWorld(ring, STANDARD_LAWS), f)
+    return _search_cokernel(_world(f.dom.ring), f)
 
 
-def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
+def _is_biproduct(w: _FiniteWorld, bp: Biproduct) -> bool:
     """Whether bp's maps are enumerated and both its cones are universal:
     whether _search_biproduct lists bp."""
-    P = bp.object
-    maps = ((bp.p1, (P, A)), (bp.p2, (P, B)), (bp.i1, (A, P)), (bp.i2, (B, P)))
-    return (all(g in w.members[key] for g, key in maps)
-            and _universal(w, P, (bp.p1, bp.p2), True) is None
-            and _universal(w, P, (bp.i1, bp.i2), False) is None)
+    return (all(w.member(g) for g in bp[1:])
+            and _universal(w, bp.object, (bp.p1, bp.p2), True) is None
+            and _universal(w, bp.object, (bp.i1, bp.i2), False) is None)
 
 
 def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
@@ -1084,51 +1084,41 @@ def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
 def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
     """Every tuple satisfying both universal properties, by exhaustive
     search over the Z_n category."""
-    ring = _require_finite(A.ring)
     _require_same_ring(A, B)
-    return _search_biproduct(_FiniteWorld(ring, STANDARD_LAWS), A, B)
+    return _search_biproduct(_world(A.ring), A, B)
 
 
 def audit_existence(ring: Ring) -> list[CheckResult]:
     """Compare the cokernel and biproduct rules against exhaustive searches.
 
-    Constructions the rules return must pass the search's own test (a miss
-    is a failure); inputs the rules refuse are searched, and constructions
-    found there are emitted as ``discrepancy`` entries with the witnesses.
+    Constructions the rules return must pass the predicate the search lists
+    by, which the axiom checks use too (a miss is a failure); inputs the
+    rules refuse are searched, and constructions found there are emitted as
+    ``discrepancy`` entries with the witnesses.
     """
-    w = _FiniteWorld(_require_finite(ring), STANDARD_LAWS)
-    entries: list[CheckResult] = []
-
-    agreement = None
-    refused_but_found: list[tuple[Morphism, list[CokernelPair]]] = []
+    w = _world(ring)
+    entries = [_verdict("cokernel-rule-agreement", _fin_cokernel_universal(w))]
     for f in w.morphisms:
         try:
-            E, p = cokernel(f)
+            cokernel(f)
         except CokernelDoesNotExist:
             found = _search_cokernel(w, f)
             if found:
-                refused_but_found.append((f, found))
-            continue
-        if agreement is None and not _is_cokernel(w, f, E, p):
-            agreement = {"f": f.literal, "law": "returned cokernel fails the search"}
-    entries.append(CheckResult(
-        "cokernel-rule-agreement", "pass" if agreement is None else "fail", agreement))
-    for f, found in refused_but_found:
-        entries.append(CheckResult(
-            f"cokernel-converse[{f.literal}]",
-            "discrepancy",
-            {
-                "morphism": f.literal,
-                "rule": "refused: neither zero nor surjective",
-                "found": [
-                    {"object": E.literal, "projection": p.literal} for E, p in found
-                ],
-                "certificate": (
-                    "each listed pair satisfies projection after f = 0 and factors "
-                    "every zero-composing morphism uniquely, checked over all objects"
-                ),
-            },
-        ))
+                entries.append(CheckResult(
+                    f"cokernel-converse[{f.literal}]",
+                    "discrepancy",
+                    {
+                        "morphism": f.literal,
+                        "rule": "refused: neither zero nor surjective",
+                        "found": [
+                            {"object": E.literal, "projection": p.literal} for E, p in found
+                        ],
+                        "certificate": (
+                            "each listed pair satisfies projection after f = 0 and factors "
+                            "every zero-composing morphism uniquely, checked over all objects"
+                        ),
+                    },
+                ))
 
     agreement = None
     pairs_found: list[tuple[Ideal, Ideal, int]] = []
@@ -1138,11 +1128,10 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
                 found = _search_biproduct(w, A, B)
                 if found:
                     pairs_found.append((A, B, len(found)))
-            elif agreement is None and not _is_biproduct(w, A, B, biproduct(A, B)):
+            elif agreement is None and not _is_biproduct(w, biproduct(A, B)):
                 agreement = {"A": A.literal, "B": B.literal,
                              "law": "constructed biproduct fails the search"}
-    entries.append(CheckResult(
-        "biproduct-rule-agreement", "pass" if agreement is None else "fail", agreement))
+    entries.append(_verdict("biproduct-rule-agreement", agreement))
     for A, B, count in pairs_found:
         entries.append(CheckResult(
             f"biproduct-converse[({A.literal},{B.literal})]",

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,13 +240,13 @@ def test_every_subcommand_matches_the_golden_digest():
     assert golden_digest() == CLI_GOLDEN_SHA256
 
 
-def _cli_child(*argv) -> subprocess.CompletedProcess:
+def _cli_child(*argv, timeout=30) -> subprocess.CompletedProcess:
     """The CLI in a child process with a timeout, for inputs that once hung
     or ended in a traceback."""
     src = str(Path(idealcat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "idealcat.cli", *argv],
-                          capture_output=True, text=True, timeout=30, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 @pytest.mark.parametrize("max_abs", ["0", "-1"])
@@ -292,6 +293,28 @@ def test_listings_above_their_limit_are_refused(argv, message):
     assert message in proc.stderr
     proc = _cli_child(*argv, "--json")
     assert json.loads(proc.stdout)["error"]["type"] == "ListingTooLarge"
+
+
+@pytest.mark.parametrize("command, n", [("objects", 10**23), ("verify", 10**19)])
+def test_moduli_above_the_object_limit_are_refused_at_once(command, n):
+    # listing the ideals once trial-divided up to sqrt(n): hours for these
+    proc = _cli_child(command, "--ring", f"zmod:{n}", timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert f"above the limit {10**12} for listing its ideals" in proc.stderr
+
+
+def test_poset_of_a_modulus_with_1344_ideals_is_answered_at_once():
+    # the cover search was cubic in the number of ideals: minutes for these
+    exponents = {2: 6, 3: 3, 5: 2, 7: 1, 11: 1, 13: 1, 17: 1}
+    n = math.prod(p ** e for p, e in exponents.items())
+    proc = _cli_child("poset", "--ring", f"zmod:{n}", timeout=10)
+    assert (n, proc.returncode) == (735134400, 0)
+    lines = proc.stdout.splitlines()
+    assert sum(line.endswith('";') and "->" not in line for line in lines) == 1344
+    # one cover <d> < <d/p> for each ideal <d> and prime p whose exponent in d
+    # is above 0: the ideals with exponent 0 at p are 1 / (e + 1) of them
+    assert sum("->" in line for line in lines) == sum(1344 * e // (e + 1)
+                                                       for e in exponents.values())
 
 
 def test_paper_mode_rejects_fraction_literal(run_cli):

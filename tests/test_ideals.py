@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from idealcat.errors import (
     InfiniteObjectClass,
+    ListingTooLarge,
     InvalidMultiplier,
     NotASubideal,
     NotComposable,
@@ -14,7 +15,9 @@ from idealcat.errors import (
     RingMismatch,
 )
 from idealcat.fracfield import Fraction, fraction_reduce
+from idealcat.hasse import covering_pairs
 from idealcat.ideals import (
+    MAX_OBJECT_MODULUS,
     HomSet,
     Ideal,
     Morphism,
@@ -264,6 +267,30 @@ def test_enumerate_objects_pairs_divisors_up_to_the_square_root():
     assert len(objects) == 169
     assert objects[0].is_zero and objects[1].generator == 1
     assert objects[-1].generator == 5 * 10**11
+
+
+def test_enumerate_objects_refuses_a_modulus_above_the_limit():
+    assert MAX_OBJECT_MODULUS == 10**12  # the scan up to sqrt(n) takes about 0.05 s there
+    start = time.perf_counter()
+    assert len(enumerate_objects(ModularRing(MAX_OBJECT_MODULUS - 11))) == 2  # a prime
+    assert time.perf_counter() - start < 10
+    for n in (MAX_OBJECT_MODULUS + 1, 10**23):
+        with pytest.raises(ListingTooLarge, match=f"above the limit {MAX_OBJECT_MODULUS} "):
+            enumerate_objects(ModularRing(n))
+
+
+def _covers_by_definition(objects):
+    """The cover search as it was: every pair, and every object between."""
+    return [(A, B) for A in objects for B in objects
+            if A != B and is_subideal(A, B)
+            and not any(C != A and C != B and is_subideal(A, C) and is_subideal(C, B)
+                        for C in objects)]
+
+
+def test_covering_pairs_match_the_definition():
+    for n in [*range(2, 121), 210, 360, 720, 1024, 2310]:
+        objects = enumerate_objects(ModularRing(n))
+        assert covering_pairs(objects) == _covers_by_definition(objects), n
 
 
 @pytest.mark.parametrize("n", range(2, 31))

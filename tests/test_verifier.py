@@ -15,12 +15,14 @@ from idealcat.constructions import (
     cokernel,
     kernel,
 )
-from idealcat.errors import CokernelDoesNotExist, RingMismatch
+from idealcat.errors import CokernelDoesNotExist, NontrivialIntersection, RingMismatch
 from idealcat.formats import parse_ideal, parse_morphism
 from idealcat.fracfield import Fraction
 from idealcat.ideals import (
     FULL,
     PAPER,
+    HomSet,
+    Morphism,
     _raw_morphism,
     all_morphisms,
     compose,
@@ -356,15 +358,86 @@ def _zero_first_projection(A, B):
     return bp._replace(p1=zero_morphism(bp.object, A))
 
 
+def _off_its_residue(f):
+    # f's multiplier plus |dom f|: the same map, but not the canonical member,
+    # which the checks catch through the predicates they share with the audits
+    return Morphism(f.dom, f.cod, f.multiplier + Fraction(f.dom.ring, f.dom._modulus, 1))
+
+
+def _projection_off_its_residue(f):
+    E, p = cokernel(f)
+    return CokernelPair(E, _off_its_residue(p))
+
+
+def _first_projection_off_its_residue(A, B):
+    bp = biproduct(A, B)
+    return bp._replace(p1=_off_its_residue(bp.p1))
+
+
+def _biproduct_never_refused(A, B):
+    try:
+        return biproduct(A, B)
+    except NontrivialIntersection:
+        return None
+
+
+def _zero_copairing(bp, g1, g2):
+    return zero_morphism(bp.object, g1.cod)
+
+
+def _listing_a_nonzero_map(into_zero: bool):
+    """enumerate_hom that also lists rho(0;1;b) in Hom(<0>, B), or rho(b;1;0)
+    in Hom(B, <0>) with into_zero, for every nonzero B: a second map there."""
+    def listing(A, B, mode=FULL):
+        hs = enumerate_hom(A, B, mode)
+        zero, other = (B, A) if into_zero else (A, B)
+        if not zero.is_zero or other.is_zero:
+            return hs
+        extra = _raw_morphism(A, B, Fraction.one(A.ring))
+        return HomSet(A, B, hs.base, hs.modulus, hs.elements + (extra,))
+    return listing
+
+
 # Defects planted in the verifier's namespace: (attribute, planted value, the
 # checks that must fail).
 PLANTED_DEFECTS = {
     "cokernel-projection-doubled": (
         "cokernel", _doubled_projection, {"cokernel-universal", "cokernel-rule-agreement"}),
+    "cokernel-projection-off-its-residue": (
+        "cokernel", _projection_off_its_residue,
+        {"cokernel-universal", "cokernel-rule-agreement"}),
     "kernel-inclusion-doubled": (
         "STANDARD_LAWS", replace(STANDARD_LAWS, kernel=_doubled_inclusion), {"kernel-universal"}),
     "biproduct-projection-zero": (
         "biproduct", _zero_first_projection, {"biproduct-laws", "biproduct-rule-agreement"}),
+    "second-map-out-of-zero": (
+        "enumerate_hom", _listing_a_nonzero_map(into_zero=False),
+        {"zero-object-initial-terminal"}),
+    "second-map-into-zero": (
+        "enumerate_hom", _listing_a_nonzero_map(into_zero=True),
+        {"zero-object-initial-terminal"}),
+    "biproduct-projection-off-its-residue": (
+        "biproduct", _first_projection_off_its_residue,
+        {"biproduct-laws", "biproduct-rule-agreement"}),
+    "biproduct-never-refused": ("biproduct", _biproduct_never_refused, {"biproduct-laws"}),
+    "copairing-zero": ("copair_from_coproduct", _zero_copairing, {"biproduct-laws"}),
+    "every-map-mono": ("is_mono", lambda f: True, {"mono-left-cancellation"}),
+    "every-map-epi": ("is_epi", lambda f: True, {"epi-right-cancellation"}),
+}
+# The witness a planted defect must leave on the check it breaks.
+PLANTED_WITNESSES = {
+    "cokernel-projection-off-its-residue": (
+        "cokernel-universal", {"f": "rho(0;0;0)", "cokernel": "<0>", "law": "universal property"}),
+    "biproduct-projection-off-its-residue": (
+        "biproduct-laws", {"A": "<0>", "B": "<0>", "law": "universal property"}),
+    "biproduct-never-refused": ("biproduct-laws", {
+        "A": "<1>", "B": "<1>", "law": "nontrivial intersection must be refused"}),
+    "copairing-zero": (
+        "biproduct-laws", {"g1": "rho(0;0;1)", "g2": "rho(1;1;1)", "law": "copairing"}),
+    "second-map-out-of-zero": (
+        "zero-object-initial-terminal", {"object": "<1>", "law": "initial"}),
+    "second-map-into-zero": (
+        "zero-object-initial-terminal", {"object": "<1>", "law": "terminal"}),
 }
 
 
@@ -376,6 +449,35 @@ def test_planted_defects_fail_the_named_checks(monkeypatch, defect, n):
     report = verify_ring(ModularRing(n))
     failing = {c.name for c in report.checks if c.status == "fail"}
     assert must_fail <= failing, failing
+    assert all(c.witness for c in report.checks if c.status == "fail")
+    if defect in PLANTED_WITNESSES:
+        name, witness = PLANTED_WITNESSES[defect]
+        assert {c.name: c.witness for c in report.checks}[name] == witness
+
+
+def _compose_raises_on_three_after_two(g, f):
+    if _on_one(f) and _on_one(g) and f.multiplier.num == 2 and g.multiplier.num == 3:
+        raise ArithmeticError("3 after 2 on <1>")
+    return compose(g, f)
+
+
+def test_a_law_that_raises_on_generators_gets_the_full_loop_report(monkeypatch):
+    # the bilinearity run on generators meets 3 after 2, so certifies settles
+    # that law False through its except branch and every law runs its full loop
+    laws = replace(STANDARD_LAWS, compose=_compose_raises_on_three_after_two)
+    report = check_axioms(Z6, laws=laws).to_json()
+    assert {"error": "ArithmeticError: 3 after 2 on <1>"} in [
+        c["witness"] for c in report["checks"]]
+    monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
+    assert check_axioms(Z6, laws=laws).to_json() == report
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, Z6], ids=["z", "zmod:6"])
+def test_an_unknown_mode_is_a_usage_error(ring):
+    # check_axioms(z) once reported 14 fails, and verify_ring(zmod:6) passed
+    for run in (check_axioms, verify_ring):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run(ring, Bounds(samples=5), mode="bogus")
 
 
 @pytest.mark.parametrize("bad", [{"max_abs": 0}, {"max_abs": -1}, {"samples": 0},
