@@ -848,7 +848,7 @@ def _fin_biproduct(w: _FiniteWorld):
                     h = copair_from_coproduct(bp, g1, g2)
                     if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
                         return {"g1": g1.literal, "g2": g2.literal, "law": "copairing"}
-            if not _is_biproduct(w, bp):
+            if not _is_biproduct(w, A, B, bp):
                 return {"A": A.literal, "B": B.literal, "law": "universal property"}
     return None
 
@@ -1046,12 +1046,12 @@ def search_cokernel(f: Morphism) -> list[CokernelPair]:
     return _search_cokernel(_world(f.dom.ring), f)
 
 
-def _is_biproduct(w: _FiniteWorld, bp: Biproduct) -> bool:
-    """Whether bp's maps are enumerated and both its cones are universal:
-    whether _search_biproduct lists bp."""
-    return (all(w.member(g) for g in bp[1:])
-            and _universal(w, bp.object, (bp.p1, bp.p2), True) is None
-            and _universal(w, bp.object, (bp.i1, bp.i2), False) is None)
+def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
+    """Whether bp's maps are enumerated maps P -> A, B and A, B -> P with universal cones."""
+    P, p1, p2, i1, i2 = bp
+    return (all(g in w.members[k] for g, k in zip(bp[1:], ((P, A), (P, B), (A, P), (B, P))))
+            and _universal(w, P, (p1, p2), True) is None
+            and _universal(w, P, (i1, i2), False) is None)
 
 
 def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
@@ -1128,7 +1128,7 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
                 found = _search_biproduct(w, A, B)
                 if found:
                     pairs_found.append((A, B, len(found)))
-            elif agreement is None and not _is_biproduct(w, biproduct(A, B)):
+            elif agreement is None and not _is_biproduct(w, A, B, biproduct(A, B)):
                 agreement = {"A": A.literal, "B": B.literal,
                              "law": "constructed biproduct fails the search"}
     entries.append(_verdict("biproduct-rule-agreement", agreement))

@@ -15,7 +15,7 @@ from idealcat.errors import (
     RingMismatch,
 )
 from idealcat.fracfield import Fraction, fraction_reduce
-from idealcat.hasse import covering_pairs
+from idealcat.hasse import _divisor_covers, covering_pairs
 from idealcat.ideals import (
     MAX_OBJECT_MODULUS,
     HomSet,
@@ -279,18 +279,22 @@ def test_enumerate_objects_refuses_a_modulus_above_the_limit():
             enumerate_objects(ModularRing(n))
 
 
-def _covers_by_definition(objects):
-    """The cover search as it was: every pair, and every object between."""
-    return [(A, B) for A in objects for B in objects
-            if A != B and is_subideal(A, B)
-            and not any(C != A and C != B and is_subideal(A, C) and is_subideal(C, B)
-                        for C in objects)]
-
-
 def test_covering_pairs_match_the_definition():
+    """poset_dot's search by ideal orders holds for every ideal of one Z_n."""
     for n in [*range(2, 121), 210, 360, 720, 1024, 2310]:
         objects = enumerate_objects(ModularRing(n))
-        assert covering_pairs(objects) == _covers_by_definition(objects), n
+        assert _divisor_covers(objects) == covering_pairs(objects), n
+
+
+def test_covering_pairs_of_other_lists_of_ideals():
+    """covering_pairs holds for ideals outside Z_n and for part of a Z_n list,
+    where the search by ideal orders would miss covers."""
+    four, two, one = (ideal_new(Z, [g]) for g in (4, 2, 1))
+    assert covering_pairs([four, two, one]) == [(four, two), (two, one)]
+    x2, x, unit = (ideal_new(RATIONAL_POLYNOMIALS, [parse_poly(t)]) for t in ("x^2", "x", "1"))
+    assert covering_pairs([unit, x2, x]) == [(x2, x), (x, unit)]
+    zero, four12, one12 = (ideal_new(ModularRing(12), [g]) for g in (0, 4, 1))
+    assert covering_pairs([zero, four12, one12]) == [(zero, four12), (four12, one12)]
 
 
 @pytest.mark.parametrize("n", range(2, 31))

@@ -381,6 +381,12 @@ def _biproduct_never_refused(A, B):
         return None
 
 
+def _biproduct_of_zero_ideals(A, B):
+    biproduct(A, B)  # refuses what the rule refuses
+    zero = ideal_new(A.ring, [0])
+    return biproduct(zero, zero)
+
+
 def _zero_copairing(bp, g1, g2):
     return zero_morphism(bp.object, g1.cod)
 
@@ -419,6 +425,8 @@ PLANTED_DEFECTS = {
     "biproduct-projection-off-its-residue": (
         "biproduct", _first_projection_off_its_residue,
         {"biproduct-laws", "biproduct-rule-agreement"}),
+    "biproduct-of-other-objects": (
+        "biproduct", _biproduct_of_zero_ideals, {"biproduct-laws", "biproduct-rule-agreement"}),
     "biproduct-never-refused": ("biproduct", _biproduct_never_refused, {"biproduct-laws"}),
     "copairing-zero": ("copair_from_coproduct", _zero_copairing, {"biproduct-laws"}),
     "every-map-mono": ("is_mono", lambda f: True, {"mono-left-cancellation"}),
@@ -430,6 +438,8 @@ PLANTED_WITNESSES = {
         "cokernel-universal", {"f": "rho(0;0;0)", "cokernel": "<0>", "law": "universal property"}),
     "biproduct-projection-off-its-residue": (
         "biproduct-laws", {"A": "<0>", "B": "<0>", "law": "universal property"}),
+    "biproduct-of-other-objects": ("biproduct-rule-agreement", {
+        "A": "<0>", "B": "<1>", "law": "constructed biproduct fails the search"}),
     "biproduct-never-refused": ("biproduct-laws", {
         "A": "<1>", "B": "<1>", "law": "nontrivial intersection must be refused"}),
     "copairing-zero": (
