@@ -31,6 +31,7 @@ All values are immutable and every operation is a pure function.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import (
     HomMismatch,
@@ -43,7 +44,7 @@ from .errors import (
     RingMismatch,
 )
 from .fracfield import Fraction, fraction_reduce
-from .rings import Ring, RingElement, canonical_generator
+from .rings import MAX_OBJECT_MODULUS, Ring, RingElement, canonical_generator  # noqa: F401
 
 FULL = "full"
 PAPER = "paper"
@@ -53,11 +54,6 @@ MODES = (FULL, PAPER)
 # with ListingTooLarge before any Morphism is built. At the limit, `homs` takes
 # about 0.5 s and 130 MB (CPython 3.11).
 MAX_HOM_LISTING = 100_000
-
-# The largest modulus whose ideals enumerate_objects lists. The divisors of n
-# are found by trial division up to sqrt(n), about 0.05 s at the limit; above
-# it the request is refused with ListingTooLarge before anything is divided.
-MAX_OBJECT_MODULUS = 10**12
 
 
 class _Value:
@@ -184,7 +180,7 @@ _set_dom, _set_cod, _set_multiplier = (
     Morphism.dom.__set__, Morphism.cod.__set__, Morphism.multiplier.__set__)
 
 
-class HomSet(_Value):
+class HomSet(NamedTuple):
     """All morphisms dom -> cod, as a cyclic description.
 
     The set is every ring multiple of ``base``. Over Z_n the multipliers
@@ -192,24 +188,11 @@ class HomSet(_Value):
     morphism explicitly; over the infinite backends both stay None.
     """
 
-    __slots__ = _shown = _fields = ("dom", "cod", "base", "modulus", "elements")
-
-    def __init__(self, dom: Ideal, cod: Ideal, base: Fraction, modulus: int | None = None,
-                 elements: tuple[Morphism, ...] | None = None):
-        HomSet.dom.__set__(self, dom)
-        HomSet.cod.__set__(self, cod)
-        HomSet.base.__set__(self, base)
-        HomSet.modulus.__set__(self, modulus)
-        HomSet.elements.__set__(self, elements)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.dom, self.cod, self.base, self.modulus, self.elements)
-                    == (other.dom, other.cod, other.base, other.modulus, other.elements))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dom, self.cod, self.base, self.modulus, self.elements))
+    dom: Ideal
+    cod: Ideal
+    base: Fraction
+    modulus: int | None = None
+    elements: tuple[Morphism, ...] | None = None
 
 
 def _require_same_ring(a, b) -> None:
@@ -377,10 +360,7 @@ def is_epi(f: Morphism) -> bool:
 
 def enumerate_objects(ring: Ring) -> list[Ideal]:
     """All ideals of Z_n: one per divisor of n, with <n> normalized to <0>.
-    n above MAX_OBJECT_MODULUS raises ListingTooLarge."""
-    if ring.characteristic > MAX_OBJECT_MODULUS:
-        raise ListingTooLarge(f"{ring.literal} has a modulus above the limit "
-                              f"{MAX_OBJECT_MODULUS} for listing its ideals")
+    ring.ideal_generators refuses n above MAX_OBJECT_MODULUS."""
     return [Ideal(ring, g) for g in ring.ideal_generators()]
 
 

@@ -16,10 +16,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
-from .errors import InfiniteObjectClass, ParseError
+from .errors import InfiniteObjectClass, ListingTooLarge, ParseError
 from .poly import MAX_LITERAL_DEGREE, Poly, parse_poly
 
 RingElement = int | Poly
+
+# The largest modulus whose ideals ModularRing.ideal_generators lists. The
+# divisors of n are found by trial division up to sqrt(n), about 0.05 s at the
+# limit; above it the request is refused with ListingTooLarge before anything
+# is divided.
+MAX_OBJECT_MODULUS = 10**12
 
 
 class Ring:
@@ -207,8 +213,12 @@ class ModularRing(Ring):
         return b % math.gcd(a, self.modulus) == 0
 
     def ideal_generators(self) -> list[int]:
-        """The divisors of n, paired d with n / d up to sqrt(n); n is 0."""
+        """The divisors of n, paired d with n / d up to sqrt(n); n is 0.
+        n above MAX_OBJECT_MODULUS raises ListingTooLarge."""
         n = self.modulus
+        if n > MAX_OBJECT_MODULUS:
+            raise ListingTooLarge(f"{self.literal} has a modulus above the limit "
+                                  f"{MAX_OBJECT_MODULUS} for listing its ideals")
         small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
         return sorted({d % n for s in small for d in (s, n // s)})
 

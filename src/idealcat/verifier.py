@@ -389,7 +389,9 @@ class _FiniteWorld:
 class _SampledWorld:
     """Seeded draws over an infinite backend: each case source yields
     ``samples`` draws, or ``samples // 5`` (at least one) with ``few`` or
-    where it says so."""
+    where it says so. A drawn morphism is a multiple of the ``enumerate_hom``
+    base of its hom-set, asked afresh on every draw: drawn ideals seldom
+    repeat, and the call draws no random numbers."""
 
     triples_are_chains = True
     on_bases = False
@@ -400,7 +402,6 @@ class _SampledWorld:
         self.mode = mode
         self.laws = laws
         self.rng = random.Random(f"{bounds.seed}:{ring.literal}:{mode}")
-        self.bases: dict[tuple[Ideal, Ideal], Fraction] = {}
 
     def random_element(self, nonzero: bool = False):
         while True:
@@ -413,15 +414,8 @@ class _SampledWorld:
             return ideal_new(self.ring)
         return ideal_new(self.ring, [self.random_element(nonzero=True)])
 
-    def hom_base(self, A: Ideal, B: Ideal) -> Fraction:
-        """enumerate_hom(A, B).base, computed once per pair in this world."""
-        base = self.bases.get((A, B))
-        if base is None:
-            base = self.bases[(A, B)] = enumerate_hom(A, B, self.mode).base
-        return base
-
     def hom_element(self, A: Ideal, B: Ideal, factor=None) -> Morphism:
-        base = self.hom_base(A, B)
+        base = enumerate_hom(A, B, self.mode).base
         if factor is None:
             factor = self.random_element()
         scaled = base * Fraction.from_element(self.ring, self.ring.coerce(factor))
@@ -894,7 +888,7 @@ def _smp_kernel_universal(w: _SampledWorld):
         h = morphism_new(K2, K, j2.multiplier)
         if compose(j, h) != j2:
             return {"f": f.literal, "j'": j2.literal, "law": "existence"}
-        base = w.hom_base(K2, K)
+        base = enumerate_hom(K2, K, w.mode).base
         for k in (1, 2, -1):
             shift = base * Fraction.from_element(w.ring, w.ring.coerce(k))
             if shift.is_zero:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import idealcat
 from idealcat import cli
 from idealcat.cli import _COMMANDS, main
-from idealcat.errors import ParseError
+from idealcat.errors import ParseError, RingMismatch
 from idealcat.formats import (
     ideal_from_json,
     ideal_to_json,
@@ -379,6 +379,18 @@ def test_morphism_round_trip(ring_lit, morphism_lit):
 def test_malformed_json_payloads_raise_parse_error(decode, payload):
     with pytest.raises(ParseError):
         decode(json.loads(payload))
+
+
+def test_a_morphism_literal_needs_three_parts():
+    with pytest.raises(ParseError, match="three ;-separated parts"):
+        parse_morphism(ModularRing(6), "rho(1;2)")
+
+
+def test_morphism_endpoints_over_different_rings_raise_ring_mismatch():
+    payload = {"dom": {"ring": "zmod:6", "gen": "1"}, "mult": "1",
+               "cod": {"ring": "zmod:4", "gen": "1"}}
+    with pytest.raises(RingMismatch, match="endpoints over different rings"):
+        morphism_from_json(payload)
 
 
 def test_parsed_ideal_is_normalized():

@@ -164,6 +164,21 @@ def test_copairing():
     assert compose(h, bp.i1) == g1 and compose(h, bp.i2) == g2
 
 
+def test_pairing_and_copairing_refuse_mismatched_maps():
+    bp = biproduct(z6i(2), z6i(3))
+    f1, f2 = identity(z6i(2)), zero_morphism(z6i(2), z6i(3))
+    with pytest.raises(HomMismatch, match="different domains"):
+        pair_into_product(bp, f1, zero_morphism(z6i(1), z6i(3)))
+    with pytest.raises(HomMismatch, match="codomains do not match"):
+        pair_into_product(bp, f1, zero_morphism(z6i(2), z6i(2)))
+    g1, g2 = identity(z6i(2)), zero_morphism(z6i(3), z6i(2))
+    with pytest.raises(HomMismatch, match="different codomains"):
+        copair_from_coproduct(bp, g1, zero_morphism(z6i(3), z6i(1)))
+    with pytest.raises(HomMismatch, match="domains do not match"):
+        copair_from_coproduct(bp, zero_morphism(z6i(3), z6i(2)), g2)
+    assert pair_into_product(bp, f1, f2) == bp.i1 and copair_from_coproduct(bp, g1, g2) == bp.p1
+
+
 def test_factorization_examples():
     q, j = canonical_factorization(morphism_new(zi(2), zi(3), 3))
     assert q.literal == "rho(2;3;6)" and j.literal == "rho(6;1;3)"

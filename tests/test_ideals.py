@@ -160,6 +160,8 @@ def test_morphism_new_examples():
         morphism_new(zi(2), zi(3), 1)
     zero = morphism_new(zi(5), zi(7), 0)
     assert zero.is_zero
+    with pytest.raises(RingMismatch, match="multiplier over zmod:6, ideals over z"):
+        morphism_new(zi(2), zi(3), Fraction.one(Z6))
 
 
 def test_fraction_multiplier_modes():
@@ -247,6 +249,12 @@ def test_epi_examples():
     assert not is_epi(zero_morphism(zi(1), zi(1)))
     assert is_epi(morphism_new(z6i(1), z6i(2), 2))
     assert is_epi(zero_morphism(zi(1), zi(0)))
+
+
+def test_ideal_elements_are_listed_over_zmod_only():
+    assert ideal_elements(z6i(2)) == (0, 2, 4) and ideal_elements(z6i(0)) == (0,)
+    with pytest.raises(InfiniteObjectClass):
+        ideal_elements(zi(2))
 
 
 def test_enumerate_objects():

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idealcat.errors import ParseError
+import idealcat
+from idealcat.errors import ListingTooLarge, ParseError
 from idealcat.ideals import ideal_new, morphism_new
 from idealcat.poly import Poly, parse_poly
 from idealcat.rings import (
     INTEGERS,
+    MAX_OBJECT_MODULUS,
     RATIONAL_POLYNOMIALS,
     ModularRing,
     canonical_generator,
@@ -174,3 +180,23 @@ def test_coerce_rejects_non_elements_and_bools(ring, value):
 @given(st.integers(0, 5), st.integers(0, 5))
 def test_modular_divides_matches_scan(a, b):
     assert divides(Z6, a, b) == any((r * a) % 6 == b for r in range(6))
+
+
+def test_ideal_generators_refuse_a_modulus_above_the_limit():
+    with pytest.raises(ListingTooLarge, match=f"above the limit {MAX_OBJECT_MODULUS} "):
+        ModularRing(MAX_OBJECT_MODULUS + 1).ideal_generators()
+    # trial division up to sqrt(10^23) runs for hours, so the direct call is
+    # made in a child process that a timeout can stop
+    code = ("from idealcat.errors import ListingTooLarge\n"
+            "from idealcat.rings import ModularRing\n"
+            "try:\n"
+            "    ModularRing(10**23).ideal_generators()\n"
+            "except ListingTooLarge as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(idealcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (f"zmod:{10**23} has a modulus above the limit {MAX_OBJECT_MODULUS} "
+                           "for listing its ideals\n")

@@ -31,6 +31,7 @@ from idealcat.ideals import (
     hom_add,
     ideal_elements,
     ideal_new,
+    identity,
     morphism_new,
     zero_morphism,
 )
@@ -463,6 +464,50 @@ def test_planted_defects_fail_the_named_checks(monkeypatch, defect, n):
     if defect in PLANTED_WITNESSES:
         name, witness = PLANTED_WITNESSES[defect]
         assert {c.name: c.witness for c in report.checks}[name] == witness
+
+
+def _cokernel_never_refused(f):
+    try:
+        return cokernel(f)
+    except CokernelDoesNotExist:
+        return CokernelPair(f.cod, identity(f.cod))
+
+
+def _base_one_out_of_zero(A, B, mode=FULL):
+    """enumerate_hom whose base out of <0> is 1 for every nonzero B."""
+    hs = enumerate_hom(A, B, mode)
+    if not A.is_zero or B.is_zero:
+        return hs
+    return HomSet(A, B, Fraction.one(A.ring), hs.modulus, hs.elements)
+
+
+# Defects planted in the verifier's namespace for the sampled worlds over Z and
+# Q[x]: (attribute, planted value, the check that must fail). Each reaches a
+# fail branch of a sampled check that the standard laws never take.
+SAMPLED_PLANTED_DEFECTS = {
+    "cokernel-never-refused": ("cokernel", _cokernel_never_refused, "cokernel-rule"),
+    "every-map-mono": ("is_mono", lambda f: True, "mono-criterion"),
+    "every-map-epi": ("is_epi", lambda f: True, "epi-criterion"),
+    "unit-base-out-of-zero": (
+        "enumerate_hom", _base_one_out_of_zero, "zero-object-initial-terminal"),
+    "apply-returns-its-argument": ("apply", lambda f, x: x, "morphism-equality-pointwise"),
+    "every-ideal-a-subideal": ("is_subideal", lambda A, B: True, "subobject-strict-preorder"),
+    "negation-returns-its-argument": ("hom_neg", lambda f: f, "hom-abelian-group"),
+}
+
+
+@pytest.mark.parametrize("ring, mode", [(INTEGERS, FULL), (INTEGERS, PAPER),
+                                        (RATIONAL_POLYNOMIALS, FULL)],
+                         ids=["z-full", "z-paper", "qpoly"])
+@pytest.mark.parametrize("defect", sorted(SAMPLED_PLANTED_DEFECTS))
+def test_sampled_planted_defects_fail_the_named_checks(monkeypatch, defect, ring, mode):
+    attribute, planted, must_fail = SAMPLED_PLANTED_DEFECTS[defect]
+    monkeypatch.setattr(verifier, attribute, planted)
+    report = verify_ring(ring, Bounds(seed=0, samples=25), mode)
+    witnesses = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert must_fail in witnesses, sorted(witnesses)
+    assert all(witnesses.values())
+    assert "error" not in witnesses[must_fail], witnesses[must_fail]  # a law, not a crash
 
 
 def _compose_raises_on_three_after_two(g, f):
