@@ -12,20 +12,26 @@ equivalent to the quartic law.
 
 Over Z_n every hom-set is cyclic, generated by its ``enumerate_hom`` base,
 and a map additive in each argument is fixed by its values on generators
-(Mac Lane, CWM, on Ab-categories). So the three cubic laws run first, in
-quadratic time, on the world's generator copy, whose parallel partners are
-the hom-set bases and whose composable triples are one base triple per
-quadruple of objects. That settles them once P1 holds, each hom-set is Z_k
+(Mac Lane, CWM, on Ab-categories). So the cubic laws run first, in
+quadratic time or less, on the world's generator copy, whose parallel
+partners are the hom-set bases, whose points are the domain generators,
+and whose chains, for a law additive in each map, are one base chain per
+tuple of objects. That settles them once P1 holds, each hom-set is Z_k
 under ``laws.add`` (the orbit b, b+b, ... of its base lists it, and x_i +
 x_j = x_(i+j mod k) for every pair), with P2, which the bilinearity run
 checks on its composites: ``laws.compose`` sends every composable pair into
 the enumerated hom-set. Distributivity against the base extends to every
 f' = b + ... + b by induction, both sides of associativity are
-tri-additive, and P1 leaves only zero and inverses to the group law. If P1
-fails, a law fails on the generator cases or anything raises, the law runs
-its full loop over every case, so a report, passing or failing, is the one
-the full loops give. The argument assumes, as every check does, that the
-laws are deterministic functions of morphism values.
+tri-additive, and P1 leaves only zero and inverses to the group law. The
+two pointwise laws rest also on P3: each enumerated f: <a> -> B sends a
+into B and is additive along a, f(x + a) = f(x) + f(a) for every x, so
+f(k a) = k f(a). Then both sides of add-pointwise are additive in x and in
+the partner, and both sides of compose-pointwise in f, in g and in x, so
+x = a and the bases settle them. If a premise fails, a law fails on the
+generator cases or anything raises, the law runs its full loop over every
+case, so a report, passing or failing, is the one the full loops give. The
+argument assumes, as every check does, that the laws and ``apply`` are
+deterministic functions of morphism values.
 
 The brute-force oracle rebuilds hom-sets as raw linear function tables
 from first principles, independent of the Morphism machinery. Over Z_n
@@ -36,9 +42,12 @@ checks, the searches and the existence audits alike. The audits put each
 construction a rule returns through it (a miss is a failure) and search
 Z_n exhaustively only where the rule refuses: a construction the search
 certifies there is a ``discrepancy`` with a machine-checkable witness and
-does not fail the suite. The biproduct search first counts hom-sets: an
+does not fail the suite. Both searches first count hom-sets. A biproduct
 apex with fewer maps into it (or out of it) at some object than there are
 cones there cannot be universal, by pigeonhole, so no legs are tried on it.
+A cokernel apex E of f needs as many maps E -> C as there are maps cod f
+-> C that kill f, at each C; unlike the pigeonhole bound this rests on
+laws of the standard ``compose`` (see ``_search_cokernel``).
 
 ``law_mutations`` documents five single-law defects (composition,
 addition, kernel, factorization image, splitting corestriction); each is
@@ -296,7 +305,8 @@ class _FiniteWorld:
     """Precomputed objects, hom-sets (with their bases) and ideal elements of
     the Z_n category; each case source yields every case and ignores ``few``.
     Its generator copy (``on_bases``) keeps the morphisms and composable
-    pairs, but gives parallel partners and composable triples on bases."""
+    chains, but gives parallel partners on bases, points on generators, and
+    base chains to a law additive in each map."""
 
     triples_are_chains = False
     on_bases = False
@@ -315,9 +325,9 @@ class _FiniteWorld:
         self.settled: dict[Callable, bool] = {}
 
     def certifies(self, *laws: Callable) -> bool:
-        """Whether P1 and then each law pass on the generator copy. Each runs
-        once per world, and one that raises does not certify. The copy itself
-        certifies nothing, so there every law runs its loop."""
+        """Whether P1 and then each premise or law pass on the generator
+        copy. Each runs once per world, and one that raises does not certify.
+        The copy itself certifies nothing, so there every law runs its loop."""
         if self.on_bases:
             return False
         generators = copy(self)
@@ -332,12 +342,12 @@ class _FiniteWorld:
                 return False
         return True
 
-    def chains(self, length: int, few: bool = False):
+    def chains(self, length: int, few: bool = False, additive: bool = False):
         """Every composable chain (f1, ..., fk), f(i+1) after f(i); on bases,
-        the triples are one base triple per quadruple of objects."""
-        if self.on_bases and length == 3:
-            return ((self.base[(A, B)], self.base[(B, C)], self.base[(C, D)])
-                    for A, B, C, D in product(self.objects, repeat=4))
+        a law additive in each map gets one base chain per tuple of objects."""
+        if self.on_bases and additive:
+            return (tuple(self.base[key] for key in zip(objs, objs[1:]))
+                    for objs in product(self.objects, repeat=length + 1))
         chains = ((f,) for f in self.morphisms)
         for _ in range(length - 1):
             chains = (c + (g,) for c in chains
@@ -362,7 +372,8 @@ class _FiniteWorld:
         return product(self.objects, repeat=3)
 
     def points(self, A: Ideal):
-        return self.elements[A]
+        """Every element of A; on bases, its generator."""
+        return (A.generator,) if self.on_bases else self.elements[A]
 
     def member(self, f: Morphism) -> bool:
         """Whether f is in its enumerated hom-set."""
@@ -427,7 +438,7 @@ class _SampledWorld:
     def certifies(self, *laws) -> bool:
         return False  # draws are not whole hom-sets: every law runs its full loop
 
-    def chains(self, length: int, few: bool = False):
+    def chains(self, length: int, few: bool = False, additive: bool = False):
         for _ in self.draws(few):
             objs = [self.random_ideal() for _ in range(length + 1)]
             yield tuple(self.hom_element(objs[i], objs[i + 1]) for i in range(length))
@@ -503,7 +514,7 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
 
 
 # ---------------------------------------------------------------------------
-# the premise of the generator cases, which _FiniteWorld.certifies runs first
+# the premises of the generator cases: certifies runs P1 first, P3 where asked
 
 
 def _cyclic_hom_sets(w: _FiniteWorld):
@@ -525,6 +536,23 @@ def _cyclic_hom_sets(w: _FiniteWorld):
     return None
 
 
+def _additive_tables(w: _FiniteWorld):
+    """P3: each enumerated f: <a> -> B sends a into B and is additive along
+    a, f(x + a) = f(x) + f(a) for every x in <a>. The elements of <a> are 0,
+    a, a + a, ..., so by induction f(0) = 0 and f(k a) = k f(a): f is
+    additive on <a> and maps it into B."""
+    ring = w.ring
+    for f in w.morphisms:
+        a = f.dom.generator
+        fa = apply(f, a)
+        if not contains_element(f.cod, fa):
+            return {"f": f.literal, "law": "generator lands in the codomain"}
+        for x in w.elements[f.dom]:
+            if apply(f, ring.add(x, a)) != ring.add(apply(f, x), fa):
+                return {"f": f.literal, "x": ring.format_element(x), "law": "additive along a"}
+    return None
+
+
 # ---------------------------------------------------------------------------
 # laws shared by both worlds
 
@@ -543,7 +571,7 @@ def _compose_associative(w):
     if w.certifies(_compose_bilinear, _compose_associative):
         return None
     laws = w.laws
-    for f, g, h in w.chains(3):
+    for f, g, h in w.chains(3, additive=True):
         if laws.compose(h, laws.compose(g, f)) != laws.compose(laws.compose(h, g), f):
             return {"f": f.literal, "g": g.literal, "h": h.literal}
     return None
@@ -628,7 +656,19 @@ def _compose_bilinear(w):
 
 
 def _compose_pointwise(w):
-    for f, g in w.chains(2):
+    """(g f)(x) = g(f(x)) for every composable pair and every x in dom f.
+
+    On generators: given P1, compose-bilinear (P2 included), P3 and
+    add-pointwise, both sides are additive in x: g f is enumerated (P2), so
+    P3 covers it, and f(x) lies in dom g, on which g is additive. At x = a,
+    the generator, both are additive in f, by bilinearity and add-pointwise
+    on the left and add-pointwise and P3 for g on the right, and in g, by
+    bilinearity and add-pointwise on both sides. So, as for associativity,
+    one base pair per triple of objects, at the generator, settles the law.
+    """
+    if w.certifies(_compose_bilinear, _additive_tables, _add_pointwise, _compose_pointwise):
+        return None
+    for f, g in w.chains(2, additive=True):
         gf = w.laws.compose(g, f)
         for x in w.points(f.dom):
             if apply(gf, x) != apply(g, apply(f, x)):
@@ -637,6 +677,17 @@ def _compose_pointwise(w):
 
 
 def _add_pointwise(w):
+    """(f + g)(x) = f(x) + g(x) for every parallel pair and every x.
+
+    On generators: P1 puts f + g in the enumerated hom-set, so by P3 both
+    sides are additive in x, and x = a, the generator, settles each pair.
+    The partner g = b, the base, gives every g = x_j by induction on j, as
+    (f + x_(j+1))(a) = ((f + x_j) + b)(a) = (f + x_j)(a) + b(a)
+    = f(a) + x_j(a) + b(a) = f(a) + x_(j+1)(a), the last step the case
+    f = x_j.
+    """
+    if w.certifies(_additive_tables, _add_pointwise):
+        return None
     for (f,) in w.chains(1):
         for g in w.partners(f):
             s = w.laws.add(f, g)
@@ -791,15 +842,23 @@ def _fin_kernel_universal(w: _FiniteWorld):
     return None
 
 
-def _fin_cokernel_universal(w: _FiniteWorld):
+def _fin_cokernel_universal(w: _FiniteWorld, refused: list | None = None):
+    """Every pair the cokernel rule returns passes ``_is_cokernel``. Given a
+    ``refused`` list, the loop runs on past a miss and appends to the list
+    every map the rule refuses."""
+    witness = None
     for f in w.morphisms:
         try:
             E, p = cokernel(f)
         except CokernelDoesNotExist:
+            if refused is not None:
+                refused.append(f)
             continue
-        if not _is_cokernel(w, f, E, p):
-            return {"f": f.literal, "cokernel": E.literal, "law": "universal property"}
-    return None
+        if witness is None and not _is_cokernel(w, f, E, p):
+            witness = {"f": f.literal, "cokernel": E.literal, "law": "universal property"}
+            if refused is None:
+                break
+    return witness
 
 
 def _fin_cancellation(w: _FiniteWorld, left: bool):
@@ -1025,8 +1084,23 @@ def _is_cokernel(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
 
 
 def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
-    return [CokernelPair(E, p) for E in w.objects for p in w.hom[(f.cod, E)]
-            if _is_cokernel(w, f, E, p)]
+    """Every (E, p) that ``_is_cokernel`` accepts.
+
+    An apex E is skipped, before any p is tried, unless at every object C
+    |hom(E, C)| equals the number of killers of f at C, the maps h: cod f ->
+    C with h f = 0. For a cokernel p, h -> h p maps hom(E, C) into the
+    killers, as (h p) f = h (p f) = h 0 = 0, and universality makes that map
+    one to one and onto. Unlike the biproduct bound, this rests on laws: the
+    standard ``compose`` is associative, sends h 0 to 0 and lands in the
+    enumerated hom-sets, whose maps have distinct multipliers. All of them
+    hold over Z_n by construction, and the searches and the audits use the
+    standard ``compose``, not ``w.laws``. Over Z_n, |hom(E, R)| = |E| fixes
+    E, so at most one apex is left.
+    """
+    killers = [sum(compose(h, f).is_zero for h in w.hom[(f.cod, C)]) for C in w.objects]
+    return [CokernelPair(E, p) for E in w.objects
+            if [len(w.hom[(E, C)]) for C in w.objects] == killers
+            for p in w.hom[(f.cod, E)] if _is_cokernel(w, f, E, p)]
 
 
 def _world(ring: Ring) -> _FiniteWorld:
@@ -1091,28 +1165,26 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
     ``discrepancy`` entries with the witnesses.
     """
     w = _world(ring)
-    entries = [_verdict("cokernel-rule-agreement", _fin_cokernel_universal(w))]
-    for f in w.morphisms:
-        try:
-            cokernel(f)
-        except CokernelDoesNotExist:
-            found = _search_cokernel(w, f)
-            if found:
-                entries.append(CheckResult(
-                    f"cokernel-converse[{f.literal}]",
-                    "discrepancy",
-                    {
-                        "morphism": f.literal,
-                        "rule": "refused: neither zero nor surjective",
-                        "found": [
-                            {"object": E.literal, "projection": p.literal} for E, p in found
-                        ],
-                        "certificate": (
-                            "each listed pair satisfies projection after f = 0 and factors "
-                            "every zero-composing morphism uniquely, checked over all objects"
-                        ),
-                    },
-                ))
+    refused: list[Morphism] = []
+    entries = [_verdict("cokernel-rule-agreement", _fin_cokernel_universal(w, refused))]
+    for f in refused:
+        found = _search_cokernel(w, f)
+        if found:
+            entries.append(CheckResult(
+                f"cokernel-converse[{f.literal}]",
+                "discrepancy",
+                {
+                    "morphism": f.literal,
+                    "rule": "refused: neither zero nor surjective",
+                    "found": [
+                        {"object": E.literal, "projection": p.literal} for E, p in found
+                    ],
+                    "certificate": (
+                        "each listed pair satisfies projection after f = 0 and factors "
+                        "every zero-composing morphism uniquely, checked over all objects"
+                    ),
+                },
+            ))
 
     agreement = None
     pairs_found: list[tuple[Ideal, Ideal, int]] = []

@@ -25,6 +25,7 @@ from idealcat.ideals import (
     Morphism,
     _raw_morphism,
     all_morphisms,
+    apply,
     compose,
     enumerate_hom,
     enumerate_objects,
@@ -527,6 +528,53 @@ def test_a_law_that_raises_on_generators_gets_the_full_loop_report(monkeypatch):
     assert check_axioms(Z6, laws=laws).to_json() == report
 
 
+def _apply_off_at_twice_two(f, x):
+    # on <2> -> B, 4 = 2 + 2 goes to f(4) + b, b the generator of B; f(2) is right
+    y = apply(f, x)
+    if f.dom.generator == 2 and x == 4:
+        return (y + f.cod.generator) % f.dom.ring.characteristic
+    return y
+
+
+# Defects that no generator case meets: (attribute and value planted in the
+# verifier's namespace or None, laws, the premise that must fail, the checks
+# that must fail).
+GENERATOR_BLIND_DEFECTS = {
+    "apply-off-at-twice-the-generator": (
+        ("apply", _apply_off_at_twice_two), STANDARD_LAWS, verifier._additive_tables,
+        {"add-pointwise", "compose-pointwise"}),
+    "compose-wrong-off-base-pairs": (
+        None, LOCAL_MUTANTS["compose-wrong-off-generators"], verifier._compose_bilinear,
+        {"compose-pointwise"}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(GENERATOR_BLIND_DEFECTS))
+def test_defects_off_the_generators_fail_the_pointwise_laws(monkeypatch, defect):
+    planted, laws, premise, must_fail = GENERATOR_BLIND_DEFECTS[defect]
+    if planted:
+        monkeypatch.setattr(verifier, *planted)
+    ring = ModularRing(12)
+    w = verifier._FiniteWorld(ring, laws)
+    assert verifier._add_pointwise(w) or verifier._compose_pointwise(w)
+    assert w.settled[premise] is False
+    report = check_axioms(ring, laws=laws).to_json()
+    witnesses = {c["name"]: c["witness"] for c in report["checks"] if c["status"] == "fail"}
+    assert must_fail <= set(witnesses), sorted(witnesses)
+    assert not any("error" in witnesses[name] for name in must_fail), witnesses
+    monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
+    assert check_axioms(ring, laws=laws).to_json() == report
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_pointwise_laws_settle_on_generators(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    assert verifier._compose_pointwise(w) is None and verifier._add_pointwise(w) is None
+    for law in (verifier._additive_tables, verifier._add_pointwise,
+                verifier._compose_pointwise):
+        assert w.settled[law] is True, law.__name__
+
+
 @pytest.mark.parametrize("ring", [INTEGERS, Z6], ids=["z", "zmod:6"])
 def test_an_unknown_mode_is_a_usage_error(ring):
     # check_axioms(z) once reported 14 fails, and verify_ring(zmod:6) passed
@@ -627,6 +675,45 @@ def test_counting_hom_sets_skips_most_cone_tests(monkeypatch):
     monkeypatch.setattr(verifier, "_universal", counted)
     verifier.audit_existence(ModularRing(12))
     assert calls["universal"] <= 600, calls
+
+
+def _unbounded_search_cokernel(w, f):
+    """The cokernel search as it was before apexes were counted out: every
+    map out of cod f goes through the cokernel predicate."""
+    return [CokernelPair(E, p) for E in w.objects for p in w.hom[(f.cod, E)]
+            if verifier._is_cokernel(w, f, E, p)]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_counting_killers_keeps_every_cokernel_the_unbounded_search_finds(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    found = 0
+    for f in w.morphisms:
+        expected = _unbounded_search_cokernel(w, f)
+        assert search_cokernel(f) == expected, f
+        found += len(expected)
+    assert found  # every zero map has a cokernel, so the lists are not all empty
+
+
+def test_counting_killers_skips_most_cokernel_cone_tests(monkeypatch):
+    # audit_existence(zmod:12) ran 474 cone tests while every cokernel apex was tried
+    calls = Counter()
+    universal, rule = verifier._universal, verifier.cokernel
+
+    def counted(*args):
+        calls["universal"] += 1
+        return universal(*args)
+
+    def counted_rule(f):
+        calls["cokernel"] += 1
+        return rule(f)
+
+    monkeypatch.setattr(verifier, "_universal", counted)
+    monkeypatch.setattr(verifier, "cokernel", counted_rule)
+    ring = ModularRing(12)
+    verifier.audit_existence(ring)
+    assert calls["universal"] <= 200, calls
+    assert calls["cokernel"] == len(all_morphisms(ring)), calls  # once per morphism
 
 
 # sha256 of verify_ring(zmod:n, Bounds(search_ceiling=n)), audits included,
