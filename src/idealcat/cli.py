@@ -84,14 +84,14 @@ class _Command(NamedTuple):
     morphisms, X a ring element. The operation and the ``formats`` codec are
     names looked up at run time, so rebinding a module attribute reaches them.
     With a codec the operation maps the operands to a result, shown as its
-    literal or one labelled line per part; without one it takes (args, ring,
-    *operands) and returns the JSON payload, the human text and the exit code."""
+    literal or one line per part, labelled with the part's key in the JSON
+    payload; without one it takes (args, ring, *operands) and returns the
+    JSON payload, the human text and the exit code."""
 
     help: str
     operands: str
     operation: str
     codec: str | None = None
-    labels: tuple[str, ...] = ()
 
 
 _COMMANDS = {
@@ -101,15 +101,14 @@ _COMMANDS = {
                         "morphism_to_json"),
     "add": _Command("hom-group sum of F and G", "FG", "hom_add", "morphism_to_json"),
     "apply": _Command("evaluate F at element X", "FX", "_apply"),
-    "kernel": _Command("kernel of F", "F", "kernel", "kernel_to_json", ("object", "inclusion")),
+    "kernel": _Command("kernel of F", "F", "kernel", "kernel_to_json"),
     "cokernel": _Command("cokernel of F (zero map and surjections only)", "F", "cokernel",
-                         "cokernel_to_json", ("object", "projection")),
+                         "cokernel_to_json"),
     "biproduct": _Command("biproduct of A and B (trivial intersection only)", "AB", "biproduct",
-                          "biproduct_to_json", ("object", "p1", "p2", "i1", "i2")),
+                          "biproduct_to_json"),
     "factor": _Command("canonical factorization F = j q through the image", "F",
-                       "canonical_factorization", "factorization_to_json", ("q", "j")),
-    "split": _Command("split the idempotent E", "E", "split_idempotent", "splitting_to_json",
-                      ("object", "retraction", "section")),
+                       "canonical_factorization", "factorization_to_json"),
+    "split": _Command("split the idempotent E", "E", "split_idempotent", "splitting_to_json"),
     "poset": _Command("DOT Hasse diagram of the subideal order (zmod only)", "", "_poset"),
     "verify": _Command("run every axiom check plus the existence audits", "", "_verify"),
     "oracle": _Command("brute-force hom listing as function tables (zmod only)", "AB",
@@ -146,10 +145,12 @@ def _operand(letter: str, text: str, ring, mode: str):
     return formats.parse_morphism(ring, text, mode)
 
 
-def _human(result, labels: tuple[str, ...]) -> str:
-    if not labels:
+def _human(result, payload: dict) -> str:
+    """A morphism's literal, or one line per part of a construction, each
+    labelled with its key in the payload."""
+    if not isinstance(result, tuple):
         return result.literal
-    return "\n".join(f"{label} {part.literal}" for label, part in zip(labels, result))
+    return "\n".join(f"{key} {part.literal}" for key, part in zip(payload, result))
 
 
 def main(argv=None) -> int:
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
         else:
             result = operation(*operands)
             payload = getattr(formats, command.codec)(result)
-            human, code = _human(result, command.labels), 0
+            human, code = _human(result, payload), 0
     except IdealCatError as exc:
         code = 2 if isinstance(exc, DoesNotExist) else 1
         if not args.json:

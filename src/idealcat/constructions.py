@@ -87,12 +87,12 @@ def cokernel(f: Morphism) -> CokernelPair:
     """Cokernel for the zero map and surjections; refuses anything else."""
     if f.is_zero:
         return CokernelPair(f.cod, identity(f.cod))
-    if image(f) == f.cod:
+    im = image(f)
+    if im == f.cod:
         trivial = zero_object(f.dom.ring)
         return CokernelPair(trivial, zero_morphism(f.cod, trivial))
     raise CokernelDoesNotExist(
-        f"{f.literal} is neither zero nor surjective "
-        f"(image {image(f)}, codomain {f.cod})"
+        f"{f.literal} is neither zero nor surjective (image {im}, codomain {f.cod})"
     )
 
 
@@ -111,8 +111,9 @@ def biproduct(A: Ideal, B: Ideal) -> Biproduct:
     and the maps degenerate to identities and zero morphisms.
     """
     _require_same_ring(A, B)
-    if not intersect(A, B).is_zero:
-        raise NontrivialIntersection(f"{A} and {B} intersect in {intersect(A, B)}")
+    meet = intersect(A, B)
+    if not meet.is_zero:
+        raise NontrivialIntersection(f"{A} and {B} intersect in {meet}")
     obj = ideal_sum(A, B)
     i1 = inclusion(A, obj)
     i2 = inclusion(B, obj)
@@ -158,14 +159,13 @@ def canonical_factorization(f: Morphism) -> Factorization:
 def split_idempotent(e: Morphism) -> Splitting:
     """Split e = f g through its image, with g f the identity.
 
-    Returns (B, g, f) with B = image(e), f the inclusion of B into the
-    endomorphism's object and g the corestriction of e onto B.
+    Returns (B, g, f) from the canonical factorization e = f g: B = image(e),
+    g the corestriction of e onto B and f the inclusion of B into the
+    endomorphism's object.
     """
     if e.dom != e.cod:
         raise NotIdempotent(f"{e.literal} is not an endomorphism")
     if compose(e, e) != e:
         raise NotIdempotent(f"{e.literal} composed with itself differs from itself")
-    B = image(e)
-    section = inclusion(B, e.dom)
-    retraction = morphism_new(e.dom, B, e.multiplier)
-    return Splitting(B, retraction, section)
+    q, j = canonical_factorization(e)
+    return Splitting(q.cod, q, j)

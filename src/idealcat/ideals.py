@@ -239,17 +239,6 @@ def _as_fraction(ring: Ring, value) -> Fraction:
     return Fraction.from_element(ring, value)
 
 
-def _canonical_multiplier(dom: Ideal, s: Fraction) -> Fraction:
-    m = dom._modulus
-    if m:  # Z_n: the least residue modulo n/a, which is 0 out of <0>
-        if 0 <= s.num < m and s.den == 1:
-            return s
-        return Fraction(dom.ring, s.num % m, 1)
-    if dom.is_zero:
-        return Fraction.zero(dom.ring)
-    return s
-
-
 def _multiplier_sends_into(dom: Ideal, cod: Ideal, s: Fraction) -> bool:
     ring = dom.ring
     if dom.is_zero:
@@ -262,7 +251,13 @@ def _multiplier_sends_into(dom: Ideal, cod: Ideal, s: Fraction) -> bool:
 
 def _raw_morphism(dom: Ideal, cod: Ideal, s: Fraction) -> Morphism:
     # canonicalizes but skips the validity check; internal fast path
-    return Morphism(dom, cod, _canonical_multiplier(dom, s))
+    m = dom._modulus
+    if m:  # Z_n: the least residue modulo n/a, which is 0 out of <0>
+        if not (0 <= s.num < m and s.den == 1):
+            s = Fraction(dom.ring, s.num % m, 1)
+    elif dom.is_zero:
+        s = Fraction.zero(dom.ring)
+    return Morphism(dom, cod, s)
 
 
 def morphism_new(dom: Ideal, cod: Ideal, multiplier, mode: str = FULL) -> Morphism:

@@ -502,7 +502,7 @@ def _printed(name: str, payload, human: str) -> tuple[list, list]:
         return [payload["value"]], lines
     if name == "objects":
         return payload, lines
-    if _COMMANDS[name].labels:
+    if _COMMANDS[name].codec != "morphism_to_json":
         return list(payload.values()), [line.split(" ", 1)[1] for line in lines]
     return [payload], lines
 
@@ -515,7 +515,7 @@ def _expected(name: str, ring, mode: str, operands: list):
     if name == "objects":
         return enumerate_objects(ring)
     result = getattr(cli, _COMMANDS[name].operation)(*operands)
-    if not _COMMANDS[name].labels:
+    if _COMMANDS[name].codec == "morphism_to_json":
         return [result]
     return list(result)  # every codec result is a NamedTuple
 

@@ -11,11 +11,18 @@ from idealcat.constructions import (
     Biproduct,
     CokernelPair,
     KernelPair,
+    Splitting,
     biproduct,
     cokernel,
     kernel,
+    split_idempotent,
 )
-from idealcat.errors import CokernelDoesNotExist, NontrivialIntersection, RingMismatch
+from idealcat.errors import (
+    CokernelDoesNotExist,
+    NontrivialIntersection,
+    NotIdempotent,
+    RingMismatch,
+)
 from idealcat.formats import parse_ideal, parse_morphism
 from idealcat.fracfield import Fraction
 from idealcat.ideals import (
@@ -573,6 +580,81 @@ def test_pointwise_laws_settle_on_generators(n):
     for law in (verifier._additive_tables, verifier._add_pointwise,
                 verifier._compose_pointwise):
         assert w.settled[law] is True, law.__name__
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_p1_settles_the_hom_group_law(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    assert verifier._hom_abelian(w) is None
+    assert w.settled[verifier._cyclic_hom_sets] is True
+
+
+def _base_as_zero(A, B):
+    """zero_morphism that returns the base of Hom(A, B), an enumerated map."""
+    return _raw_morphism(A, B, enumerate_hom(A, B).base)
+
+
+# Group-law defects planted in the verifier's namespace: P1 finds each, so
+# every law runs its full loop.
+GROUP_LAW_DEFECTS = {
+    "negation-returns-its-argument": ("hom_neg", lambda f: f),
+    "zero-is-the-base": ("zero_morphism", _base_as_zero),
+}
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("defect", sorted(GROUP_LAW_DEFECTS))
+def test_group_law_defects_fail_p1_and_get_the_full_loop_report(monkeypatch, defect, n):
+    monkeypatch.setattr(verifier, *GROUP_LAW_DEFECTS[defect])
+    ring = ModularRing(n)
+    w = verifier._FiniteWorld(ring, STANDARD_LAWS)
+    assert verifier._hom_abelian(w)
+    assert w.settled[verifier._cyclic_hom_sets] is False
+    report = check_axioms(ring).to_json()
+    witnesses = {c["name"]: c["witness"] for c in report["checks"] if c["status"] == "fail"}
+    assert "hom-abelian-group" in witnesses, sorted(witnesses)
+    assert "error" not in witnesses["hom-abelian-group"]
+    monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
+    assert check_axioms(ring).to_json() == report
+
+
+def _split_never_refused(e):
+    try:
+        return split_idempotent(e)
+    except NotIdempotent:
+        return Splitting(e.dom, identity(e.dom), identity(e.dom))
+
+
+def _split_with_zero_retraction(e):
+    B, g, f = split_idempotent(e)
+    return Splitting(B, zero_morphism(e.dom, B), f)
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("split, law", [
+    (_split_never_refused, "non-idempotent must be refused"),
+    (_split_with_zero_retraction, "retraction after section is identity"),
+], ids=["never-refused", "zero-retraction"])
+def test_splitting_defects_reach_their_witnesses(n, split, law):
+    report = check_axioms(ModularRing(n), laws=replace(STANDARD_LAWS, split=split))
+    witness = {c.name: c.witness for c in report.checks}["idempotent-splitting"]
+    assert witness["law"] == law, witness
+
+
+def _compose_to_zero(g, f):
+    """compose that sends every pair to the zero map, so distinct maps merge."""
+    return zero_morphism(f.dom, g.cod)
+
+
+@pytest.mark.parametrize("ring, mode", [(INTEGERS, FULL), (INTEGERS, PAPER),
+                                        (RATIONAL_POLYNOMIALS, FULL)],
+                         ids=["z-full", "z-paper", "qpoly"])
+def test_a_compose_that_merges_maps_fails_both_criteria(monkeypatch, ring, mode):
+    monkeypatch.setattr(verifier, "compose", _compose_to_zero)
+    report = check_axioms(ring, Bounds(seed=0, samples=25), mode)
+    witnesses = {c.name: c.witness for c in report.checks}
+    assert witnesses["mono-criterion"]["law"] == "left cancellation"
+    assert witnesses["epi-criterion"]["law"] == "right cancellation"
 
 
 @pytest.mark.parametrize("ring", [INTEGERS, Z6], ids=["z", "zmod:6"])
