@@ -40,6 +40,7 @@ from idealcat.ideals import (
     ideal_elements,
     ideal_new,
     identity,
+    intersect,
     morphism_new,
     zero_morphism,
 )
@@ -440,6 +441,11 @@ PLANTED_DEFECTS = {
     "copairing-zero": ("copair_from_coproduct", _zero_copairing, {"biproduct-laws"}),
     "every-map-mono": ("is_mono", lambda f: True, {"mono-left-cancellation"}),
     "every-map-epi": ("is_epi", lambda f: True, {"epi-right-cancellation"}),
+    "no-map-epi": (
+        "is_epi", lambda f: False, {"factorization-epi-inclusion", "epi-right-cancellation"}),
+    "no-map-mono": (
+        "is_mono", lambda f: False, {"inclusion-axioms", "mono-left-cancellation"}),
+    "no-ideal-a-subideal": ("is_subideal", lambda A, B: False, {"subobject-strict-preorder"}),
 }
 # The witness a planted defect must leave on the check it breaks.
 PLANTED_WITNESSES = {
@@ -457,6 +463,10 @@ PLANTED_WITNESSES = {
         "zero-object-initial-terminal", {"object": "<1>", "law": "initial"}),
     "second-map-into-zero": (
         "zero-object-initial-terminal", {"object": "<1>", "law": "terminal"}),
+    "no-map-epi": ("factorization-epi-inclusion",
+                   {"f": "rho(0;0;0)", "q": "rho(0;0;0)", "law": "q is epi"}),
+    "no-map-mono": ("inclusion-axioms", {"j": "rho(0;0;0)", "law": "inclusions are mono"}),
+    "no-ideal-a-subideal": ("subobject-strict-preorder", {"A": "<0>", "law": "reflexivity"}),
 }
 
 
@@ -481,6 +491,11 @@ def _cokernel_never_refused(f):
         return CokernelPair(f.cod, identity(f.cod))
 
 
+def _cokernel_of_zero_is_zero(f):
+    """cokernel that gives the zero map on cod f to a zero map f."""
+    return CokernelPair(f.cod, zero_morphism(f.cod, f.cod)) if f.is_zero else cokernel(f)
+
+
 def _base_one_out_of_zero(A, B, mode=FULL):
     """enumerate_hom whose base out of <0> is 1 for every nonzero B."""
     hs = enumerate_hom(A, B, mode)
@@ -501,6 +516,13 @@ SAMPLED_PLANTED_DEFECTS = {
     "apply-returns-its-argument": ("apply", lambda f, x: x, "morphism-equality-pointwise"),
     "every-ideal-a-subideal": ("is_subideal", lambda A, B: True, "subobject-strict-preorder"),
     "negation-returns-its-argument": ("hom_neg", lambda f: f, "hom-abelian-group"),
+    "no-ideal-a-subideal": ("is_subideal", lambda A, B: False, "subobject-strict-preorder"),
+    "cokernel-of-zero-is-zero": ("cokernel", _cokernel_of_zero_is_zero, "cokernel-rule"),
+}
+# The law a sampled planted defect must break on its check.
+SAMPLED_PLANTED_LAWS = {
+    "no-ideal-a-subideal": "transitivity",
+    "cokernel-of-zero-is-zero": "zero map gets (cod, identity)",
 }
 
 
@@ -518,6 +540,17 @@ def test_sampled_planted_defects_fail_the_named_checks(monkeypatch, defect, ring
     assert "error" not in witnesses[must_fail], witnesses[must_fail]  # a law, not a crash
 
 
+@pytest.mark.parametrize("ring, mode", [(INTEGERS, FULL), (INTEGERS, PAPER),
+                                        (RATIONAL_POLYNOMIALS, FULL)],
+                         ids=["z-full", "z-paper", "qpoly"])
+@pytest.mark.parametrize("defect", sorted(SAMPLED_PLANTED_LAWS))
+def test_sampled_planted_defects_break_the_named_laws(monkeypatch, defect, ring, mode):
+    attribute, planted, check = SAMPLED_PLANTED_DEFECTS[defect]
+    monkeypatch.setattr(verifier, attribute, planted)
+    report = verify_ring(ring, Bounds(seed=0, samples=25), mode)
+    assert {c.name: c.witness for c in report.checks}[check]["law"] == SAMPLED_PLANTED_LAWS[defect]
+
+
 def _compose_raises_on_three_after_two(g, f):
     if _on_one(f) and _on_one(g) and f.multiplier.num == 2 and g.multiplier.num == 3:
         raise ArithmeticError("3 after 2 on <1>")
@@ -525,8 +558,8 @@ def _compose_raises_on_three_after_two(g, f):
 
 
 def test_a_law_that_raises_on_generators_gets_the_full_loop_report(monkeypatch):
-    # the bilinearity run on generators meets 3 after 2, so certifies settles
-    # that law False through its except branch and every law runs its full loop
+    # P1's composition table meets 3 after 2, so certifies settles P1 False
+    # through its except branch and every law runs its full loop
     laws = replace(STANDARD_LAWS, compose=_compose_raises_on_three_after_two)
     report = check_axioms(Z6, laws=laws).to_json()
     assert {"error": "ArithmeticError: 3 after 2 on <1>"} in [
@@ -551,7 +584,7 @@ GENERATOR_BLIND_DEFECTS = {
         ("apply", _apply_off_at_twice_two), STANDARD_LAWS, verifier._additive_tables,
         {"add-pointwise", "compose-pointwise"}),
     "compose-wrong-off-base-pairs": (
-        None, LOCAL_MUTANTS["compose-wrong-off-generators"], verifier._compose_bilinear,
+        None, LOCAL_MUTANTS["compose-wrong-off-generators"], verifier._cyclic_hom_sets,
         {"compose-pointwise"}),
 }
 
@@ -573,6 +606,19 @@ def test_defects_off_the_generators_fail_the_pointwise_laws(monkeypatch, defect)
     assert check_axioms(ring, laws=laws).to_json() == report
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_an_apply_that_returns_its_argument_fails_p3(monkeypatch, n):
+    monkeypatch.setattr(verifier, "apply", lambda f, x: x)
+    ring = ModularRing(n)
+    w = verifier._FiniteWorld(ring, STANDARD_LAWS)
+    assert verifier._additive_tables(w)["law"] == "generator lands in the codomain"
+    verifier._add_pointwise(w)
+    assert w.settled[verifier._additive_tables] is False
+    report = check_axioms(ring).to_json()
+    monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
+    assert check_axioms(ring).to_json() == report
+
+
 @pytest.mark.parametrize("n", [6, 12, 24])
 def test_pointwise_laws_settle_on_generators(n):
     w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
@@ -587,6 +633,36 @@ def test_p1_settles_the_hom_group_law(n):
     w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
     assert verifier._hom_abelian(w) is None
     assert w.settled[verifier._cyclic_hom_sets] is True
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_p1_settles_bilinearity(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    assert verifier._compose_bilinear(w) is None
+    assert w.settled[verifier._cyclic_hom_sets] is True
+    assert verifier._compose_bilinear not in w.settled
+
+
+def _compose_not_well_defined(g, f):
+    # on <1> -> <3> -> <1>, with i = 1 for rho(1;3;3) and 2 for rho(1;0;3) and
+    # j = 1 for rho(3;1;1) and 2 for rho(3;0;1), the composite has multiplier
+    # i j mod 6: the table (i, j) -> ijc holds with c = 1, but 2c is not 0 mod 6
+    if (f.dom.generator, f.cod.generator, g.cod.generator) == (1, 3, 1):
+        i = {"rho(1;3;3)": 1, "rho(1;0;3)": 2}[f.literal]
+        j = {"rho(3;1;1)": 1, "rho(3;0;1)": 2}[g.literal]
+        return morphism_new(f.dom, g.cod, i * j)
+    return compose(g, f)
+
+
+def test_p1_needs_the_composite_of_the_bases_to_be_well_defined(monkeypatch):
+    laws = replace(STANDARD_LAWS, compose=_compose_not_well_defined)
+    w = verifier._FiniteWorld(Z6, laws)
+    assert verifier._cyclic_hom_sets(w)["law"] == "composite of the bases"
+    report = check_axioms(Z6, laws=laws).to_json()
+    witness = {c["name"]: c["witness"] for c in report["checks"]}["compose-bilinear"]
+    assert witness["law"] == "left distributivity", witness
+    monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
+    assert check_axioms(Z6, laws=laws).to_json() == report
 
 
 def _base_as_zero(A, B):
@@ -857,6 +933,22 @@ def test_verify_ring_z6_records_the_discrepancy():
     assert {"object": "<3>", "projection": "rho(1;3;3)"} in entry.witness["found"]
     # no biproduct the rule refuses exists in Z_6
     assert not [n for n in by_name if n.startswith("biproduct-converse")]
+
+
+def test_a_biproduct_the_search_finds_for_a_refused_pair_is_a_discrepancy(monkeypatch):
+    ring = ModularRing(12)
+    zero = ideal_new(ring, [0])
+    monkeypatch.setattr(verifier, "_search_biproduct", lambda w, A, B: [biproduct(zero, zero)])
+    report = verify_ring(ring)
+    assert not report.failed
+    objects = enumerate_objects(ring)
+    expected = {f"biproduct-converse[({A.literal},{B.literal})]"
+                for i, A in enumerate(objects) for B in objects[i:]
+                if not intersect(A, B).is_zero}
+    converse = {c.name: c for c in report.checks if c.name.startswith("biproduct-converse")}
+    assert expected and set(converse) == expected
+    assert all(c.status == "discrepancy" and c.witness["found"] == 1
+               for c in converse.values())
 
 
 def test_verify_ring_respects_search_ceiling():
