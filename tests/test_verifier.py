@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -96,6 +97,29 @@ def test_brute_force_matches_exhaustive_filter():
             for B in enumerate_objects(ring):
                 brute = sorted(brute_force_hom_set(A, B))
                 assert brute == exhaustive_linear_tables(n, A.generator, B.generator)
+
+
+def test_brute_force_counts_are_the_gcd_of_the_orders_through_n_120():
+    # Hom(Z_k, Z_l) is Z_gcd(k, l), so the count needs no table at all.
+    for n in range(2, 121):
+        objects = enumerate_objects(ModularRing(n))
+        for A, B in product(objects, repeat=2):
+            k, l = len(ideal_elements(A)), len(ideal_elements(B))
+            assert len(brute_force_hom_set(A, B)) == math.gcd(k, l), (n, A, B)
+
+
+def test_the_linear_test_alone_rejects_exactly_the_ill_defined_tables():
+    # Without it the oracle would keep every table k*a -> k*y; it must reject
+    # exactly those y with (n/a)*y != 0, the ones that define no map.
+    for n in range(2, 121):
+        ring = ModularRing(n)
+        for a in ring.ideal_generators():
+            if a == 0:
+                continue
+            m = n // a
+            for y in range(n):
+                table = {(k * a) % n: (k * y) % n for k in range(m)}
+                assert verifier._table_is_linear(table, a, n) == ((m * y) % n == 0), (n, a, y)
 
 
 def test_brute_force_rejects_domains():
@@ -414,6 +438,14 @@ def _listing_a_nonzero_map(into_zero: bool):
     return listing
 
 
+def _dropping_the_last_map_of_hom_1_1(A, B, mode=FULL):
+    """enumerate_hom that leaves the last of the n maps out of Hom(<1>, <1>)."""
+    hs = enumerate_hom(A, B, mode)
+    if A.generator != 1 or B.generator != 1:
+        return hs
+    return HomSet(A, B, hs.base, hs.modulus, hs.elements[:-1])
+
+
 # Defects planted in the verifier's namespace: (attribute, planted value, the
 # checks that must fail).
 PLANTED_DEFECTS = {
@@ -446,8 +478,11 @@ PLANTED_DEFECTS = {
     "no-map-mono": (
         "is_mono", lambda f: False, {"inclusion-axioms", "mono-left-cancellation"}),
     "no-ideal-a-subideal": ("is_subideal", lambda A, B: False, {"subobject-strict-preorder"}),
+    "hom-1-1-missing-a-map": (
+        "enumerate_hom", _dropping_the_last_map_of_hom_1_1, {"hom-oracle-agreement"}),
 }
-# The witness a planted defect must leave on the check it breaks.
+# The witness a planted defect must leave on the check it breaks, or the
+# function of n that gives it.
 PLANTED_WITNESSES = {
     "cokernel-projection-off-its-residue": (
         "cokernel-universal", {"f": "rho(0;0;0)", "cokernel": "<0>", "law": "universal property"}),
@@ -467,6 +502,8 @@ PLANTED_WITNESSES = {
                    {"f": "rho(0;0;0)", "q": "rho(0;0;0)", "law": "q is epi"}),
     "no-map-mono": ("inclusion-axioms", {"j": "rho(0;0;0)", "law": "inclusions are mono"}),
     "no-ideal-a-subideal": ("subobject-strict-preorder", {"A": "<0>", "law": "reflexivity"}),
+    "hom-1-1-missing-a-map": ("hom-oracle-agreement", lambda n: {
+        "hom": "<1>-><1>", "enumerated": n - 1, "brute_force": n}),
 }
 
 
@@ -481,6 +518,8 @@ def test_planted_defects_fail_the_named_checks(monkeypatch, defect, n):
     assert all(c.witness for c in report.checks if c.status == "fail")
     if defect in PLANTED_WITNESSES:
         name, witness = PLANTED_WITNESSES[defect]
+        if callable(witness):
+            witness = witness(n)
         assert {c.name: c.witness for c in report.checks}[name] == witness
 
 
