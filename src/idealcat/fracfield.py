@@ -102,7 +102,7 @@ class Fraction:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.num, self.den))
+        return hash((self.num, self.den))  # equal fractions share a ring
 
     def __repr__(self) -> str:
         return f"Fraction({self.ring.literal}, {format_fraction(self)!r})"

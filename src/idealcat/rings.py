@@ -41,7 +41,7 @@ class Ring:
     parenthesized_fractions: bool = False
 
     def __init__(self):
-        self._hash = hash(self._key())  # every Fraction, Ideal and Morphism hash reads it
+        self._hash = hash(self._key())  # every Ideal hash, so every Morphism hash, reads it
 
     def _key(self) -> tuple:
         return (type(self).__name__,)

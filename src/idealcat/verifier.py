@@ -49,6 +49,16 @@ A cokernel apex E of f needs as many maps E -> C as there are maps cod f
 -> C that kill f, at each C; unlike the pigeonhole bound this rests on
 laws of the standard ``compose`` (see ``_search_cokernel``).
 
+``verify_ring`` builds one world and hands it to ``check_axioms`` and
+``audit_existence``. Sharing it is exact: the audits never read
+``w.laws``, only the standard ``compose``, ``cokernel`` and ``biproduct``.
+The world runs the cokernel rule over every morphism once
+(``cokernel_sweep``: the first pair that fails ``_is_cokernel`` and every
+map the rule refuses), and keeps the verdict of ``_is_biproduct`` for each
+biproduct it is asked about, so ``cokernel-universal`` and
+``cokernel-rule-agreement``, and ``biproduct-laws`` and
+``biproduct-rule-agreement``, share one computation each.
+
 ``law_mutations`` documents five single-law defects (composition,
 addition, kernel, factorization image, splitting corestriction); each is
 caught by at least one check on Z_6 and Z_12. Over Z and Q[x] the first
@@ -62,7 +72,7 @@ import random
 from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable
 
@@ -318,6 +328,7 @@ class _FiniteWorld:
         self.elements = {A: ideal_elements(A) for A in self.objects}
         self.members = {key: frozenset(homset) for key, homset in self.hom.items()}
         self.settled: dict[Callable, bool] = {}
+        self.biproduct_verdicts: dict[tuple, bool] = {}
 
     def certifies(self, *laws: Callable) -> bool:
         """Whether P1 and then each premise or law pass on the generator
@@ -385,6 +396,30 @@ class _FiniteWorld:
     def right_divisors(self, j: Morphism, target: Morphism) -> list[Morphism]:
         """Every h with j after h equal to target."""
         return [h for h in self.hom[(target.dom, j.dom)] if compose(j, h) == target]
+
+    @cached_property
+    def cokernel_sweep(self) -> tuple[dict | None, list[Morphism]]:
+        """(witness, refused): the first pair the cokernel rule returns that
+        fails ``_is_cokernel``, as a witness, or None, and every map the rule
+        refuses. The rule runs once per morphism and world; a sweep that
+        raises is not kept, so the next reader runs it again."""
+        witness, refused = None, []
+        for f in self.morphisms:
+            try:
+                E, p = cokernel(f)
+            except CokernelDoesNotExist:
+                refused.append(f)
+                continue
+            if witness is None and not _is_cokernel(self, f, E, p):
+                witness = {"f": f.literal, "cokernel": E.literal, "law": "universal property"}
+        return witness, refused
+
+    def is_biproduct(self, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
+        """``_is_biproduct``, run once per (A, B, bp) in this world."""
+        key = (A, B, bp)
+        if key not in self.biproduct_verdicts:
+            self.biproduct_verdicts[key] = _is_biproduct(self, A, B, bp)
+        return self.biproduct_verdicts[key]
 
 
 class _SampledWorld:
@@ -484,17 +519,20 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
     With no legs the one cone at C is empty, hit once per map C -> apex (apex
     -> C for a colimit): the test of a terminal (initial) object.
     """
-    for C in w.objects:  # each leg's maps share dom and cod, so multipliers tell them apart
+    # Each leg's maps share dom and cod, so their canonical multipliers k/1,
+    # all over the world's ring, are told apart by the residue k alone.
+    for C in w.objects:
         if limit:
-            hits = Counter(tuple(compose(leg, h).multiplier for leg in legs)
+            hits = Counter(tuple(compose(leg, h).multiplier.num for leg in legs)
                            for h in w.hom[(C, apex)])
             cones = product(*(w.hom[(C, leg.cod)] for leg in legs))
         else:
-            hits = Counter(tuple(compose(h, leg).multiplier for leg in legs)
+            hits = Counter(tuple(compose(h, leg).multiplier.num for leg in legs)
                            for h in w.hom[(apex, C)])
             cones = product(*(w.hom[(leg.dom, C)] for leg in legs))
         for cone in cones:
-            if hits[tuple(g.multiplier for g in cone)] != 1 and (admits is None or admits(cone)):
+            key = tuple(g.multiplier.num for g in cone)
+            if hits[key] != 1 and (admits is None or admits(cone)):
                 return C, cone
     return None
 
@@ -838,23 +876,10 @@ def _fin_kernel_universal(w: _FiniteWorld):
     return None
 
 
-def _fin_cokernel_universal(w: _FiniteWorld, refused: list | None = None):
-    """Every pair the cokernel rule returns passes ``_is_cokernel``. Given a
-    ``refused`` list, the loop runs on past a miss and appends to the list
-    every map the rule refuses."""
-    witness = None
-    for f in w.morphisms:
-        try:
-            E, p = cokernel(f)
-        except CokernelDoesNotExist:
-            if refused is not None:
-                refused.append(f)
-            continue
-        if witness is None and not _is_cokernel(w, f, E, p):
-            witness = {"f": f.literal, "cokernel": E.literal, "law": "universal property"}
-            if refused is None:
-                break
-    return witness
+def _fin_cokernel_universal(w: _FiniteWorld):
+    """Every pair the cokernel rule returns passes ``_is_cokernel``: the
+    witness of the world's ``cokernel_sweep``."""
+    return w.cokernel_sweep[0]
 
 
 def _fin_cancellation(w: _FiniteWorld, left: bool):
@@ -897,7 +922,7 @@ def _fin_biproduct(w: _FiniteWorld):
                     h = copair_from_coproduct(bp, g1, g2)
                     if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
                         return {"g1": g1.literal, "g2": g2.literal, "law": "copairing"}
-            if not _is_biproduct(w, A, B, bp):
+            if not w.is_biproduct(A, B, bp):
                 return {"A": A.literal, "B": B.literal, "law": "universal property"}
     return None
 
@@ -1038,14 +1063,20 @@ def check_axioms(
     bounds: Bounds | None = None,
     mode: str = FULL,
     laws: LawTable | None = None,
+    *,
+    world: _FiniteWorld | None = None,
 ) -> Report:
     """Run every axiom check for one ring; failures become report entries.
-    An unknown mode is a usage error: ValueError, before any check runs."""
+    An unknown mode is a usage error: ValueError, before any check runs.
+    Over Z_n the checks run on ``world`` when given, a ``_FiniteWorld`` of
+    this ring built with these laws, so verify_ring can share it."""
     _check_mode(mode)
     bounds = bounds or Bounds()
     laws = laws or STANDARD_LAWS
     exhaustive = ring.characteristic > 0
-    world = _FiniteWorld(ring, laws) if exhaustive else _SampledWorld(ring, bounds, mode, laws)
+    if world is None:
+        world = (_FiniteWorld(ring, laws) if exhaustive
+                 else _SampledWorld(ring, bounds, mode, laws))
     report = Report(ring)
     for name, finite_law, sampled_law in _CHECKS:
         fn = finite_law if exhaustive else sampled_law
@@ -1143,17 +1174,21 @@ def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
     return _search_biproduct(_world(A.ring), A, B)
 
 
-def audit_existence(ring: Ring) -> list[CheckResult]:
+def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[CheckResult]:
     """Compare the cokernel and biproduct rules against exhaustive searches.
 
     Constructions the rules return must pass the predicate the search lists
     by, which the axiom checks use too (a miss is a failure); inputs the
     rules refuse are searched, and constructions found there are emitted as
     ``discrepancy`` entries with the witnesses.
+
+    The audits run on ``world`` when given, a ``_FiniteWorld`` of this ring
+    with any laws: they read the world's cokernel sweep and biproduct
+    verdicts, which the axiom checks share, and never ``w.laws``.
     """
-    w = _world(ring)
-    refused: list[Morphism] = []
-    entries = [_verdict("cokernel-rule-agreement", _fin_cokernel_universal(w, refused))]
+    w = _world(ring) if world is None else world
+    witness, refused = w.cokernel_sweep
+    entries = [_verdict("cokernel-rule-agreement", witness)]
     for f in refused:
         found = _search_cokernel(w, f)
         if found:
@@ -1181,7 +1216,7 @@ def audit_existence(ring: Ring) -> list[CheckResult]:
                 found = _search_biproduct(w, A, B)
                 if found:
                     pairs_found.append((A, B, len(found)))
-            elif agreement is None and not _is_biproduct(w, A, B, biproduct(A, B)):
+            elif agreement is None and not w.is_biproduct(A, B, biproduct(A, B)):
                 agreement = {"A": A.literal, "B": B.literal,
                              "law": "constructed biproduct fails the search"}
     entries.append(_verdict("biproduct-rule-agreement", agreement))
@@ -1205,9 +1240,12 @@ def verify_ring(
     mode: str = FULL,
     laws: LawTable | None = None,
 ) -> Report:
-    """check_axioms plus, for Z_n within the search ceiling, the audits."""
+    """check_axioms plus, for Z_n within the search ceiling, the audits, all
+    on one world."""
+    _check_mode(mode)  # a usage error before the world is built
     bounds = bounds or Bounds()
-    report = check_axioms(ring, bounds, mode, laws)
+    world = _FiniteWorld(ring, laws or STANDARD_LAWS) if ring.characteristic else None
+    report = check_axioms(ring, bounds, mode, laws, world=world)
     if 0 < ring.characteristic <= bounds.search_ceiling:
-        report.checks.extend(audit_existence(ring))
+        report.checks.extend(audit_existence(ring, world=world))
     return report

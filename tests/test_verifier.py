@@ -49,6 +49,7 @@ from idealcat.rings import INTEGERS, RATIONAL_POLYNOMIALS, ModularRing
 from idealcat.verifier import (
     STANDARD_LAWS,
     Bounds,
+    LawTable,
     brute_force_hom_set,
     check_axioms,
     law_mutations,
@@ -911,6 +912,53 @@ def test_counting_killers_skips_most_cokernel_cone_tests(monkeypatch):
     verifier.audit_existence(ring)
     assert calls["universal"] <= 200, calls
     assert calls["cokernel"] == len(all_morphisms(ring)), calls  # once per morphism
+
+
+def _law_read_by_an_audit(*args):
+    raise AssertionError("an audit called a law of the world's table")
+
+
+# A table whose every law raises: checks that call a law fail with an error
+# witness, and an audit that called one would raise.
+RAISING_LAWS = LawTable(*[_law_read_by_an_audit] * 5)
+
+
+@pytest.mark.parametrize("n", range(2, 37))
+def test_the_audits_on_the_checks_world_equal_the_audits_alone(n):
+    ring = ModularRing(n)
+    alone = verifier.audit_existence(ring)
+    checks = sum(finite is not None for _, finite, _ in verifier._CHECKS)
+    # a mutant sends every law to its full loop, whose cost grows fast with n
+    mutations = list(law_mutations().values()) if n <= 12 else []
+    for laws in [STANDARD_LAWS, RAISING_LAWS, *mutations]:
+        report = verify_ring(ring, Bounds(search_ceiling=n), laws=laws)
+        assert len(report.checks) == checks + len(alone)
+        assert report.checks[checks:] == alone
+
+
+def test_one_verify_runs_each_cokernel_and_biproduct_test_once(monkeypatch):
+    calls = Counter()
+    rule, is_biproduct = verifier.cokernel, verifier._is_biproduct
+
+    def counted_rule(f):
+        calls["cokernel"] += 1
+        return rule(f)
+
+    def counted_is_biproduct(w, A, B, bp):
+        calls["_is_biproduct"] += 1
+        return is_biproduct(w, A, B, bp)
+
+    monkeypatch.setattr(verifier, "cokernel", counted_rule)
+    monkeypatch.setattr(verifier, "_is_biproduct", counted_is_biproduct)
+    ring = ModularRing(12)
+    objects = enumerate_objects(ring)
+    report = verify_ring(ring)
+    assert {"cokernel-universal", "cokernel-rule-agreement", "biproduct-laws",
+            "biproduct-rule-agreement"} <= {c.name for c in report.checks}
+    trivially_intersecting = [(A, B) for i, A in enumerate(objects) for B in objects[i:]
+                              if intersect(A, B).is_zero]
+    assert calls == {"cokernel": len(all_morphisms(ring)),
+                     "_is_biproduct": len(trivially_intersecting)}, calls
 
 
 # sha256 of verify_ring(zmod:n, Bounds(search_ceiling=n)), audits included,
