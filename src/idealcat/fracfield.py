@@ -10,10 +10,19 @@ fraction_reduce skips work that cannot change the result: over a
 denominator of 1 it returns at once, when either side is a unit (a
 nonzero constant polynomial, or +-1) the gcd is a unit and is not
 computed, and a gcd of 1 or a denominator that is already canonical
-divides nothing. Over Z_n, ``+`` and ``*`` of two fractions over 1 skip
-fraction_reduce and the ring's methods: they are one integer sum or
-product modulo n. ``+``, ``*`` and ``==`` test the two rings for identity
-before calling the ring's equality.
+divides nothing. Over a domain, ``*`` and ``+`` of two reduced fractions
+never call it (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1): a product
+reduces crosswise, by gcd(a, d) and gcd(c, b) on the factors of
+(a/b)(c/d) and never by a gcd of the product, and a sum takes g =
+gcd(b, d) first; coprime denominators need no further gcd, and otherwise
+only g can share a factor with the new numerator. Both results keep a
+canonical denominator without a unit step, since quotients and products
+of canonical associates are canonical. Over Z_n, ``+`` and ``*`` of two
+fractions over 1 skip fraction_reduce and the ring's methods: they are one
+integer sum or product modulo n; any other fraction over Z_n still goes
+through fraction_reduce, which refuses a non-unit denominator. ``+``,
+``*`` and ``==`` test the two rings for identity before calling the
+ring's equality.
 
 Text form: ``p`` or ``p/q``. A ring whose element literals contain ``/``
 (qpoly's rational coefficients) sets ``parenthesized_fractions``, and
@@ -75,8 +84,7 @@ class Fraction:
         n = r.characteristic
         if n and self.den == 1 and other.den == 1:  # Z_n residues
             return Fraction(r, (self.num + other.num) % n, 1)
-        num = r.add(r.mul(self.num, other.den), r.mul(other.num, self.den))
-        return fraction_reduce(r, num, r.mul(self.den, other.den))
+        return _sum(r, self.num, self.den, other.num, other.den)
 
     def __neg__(self) -> Fraction:
         return Fraction(self.ring, self.ring.neg(self.num), self.den)
@@ -91,7 +99,7 @@ class Fraction:
         n = r.characteristic
         if n and self.den == 1 and other.den == 1:  # Z_n residues
             return Fraction(r, self.num * other.num % n, 1)
-        return fraction_reduce(r, r.mul(self.num, other.num), r.mul(self.den, other.den))
+        return _product(r, self.num, self.den, other.num, other.den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -109,6 +117,47 @@ class Fraction:
 
     def __str__(self) -> str:
         return format_fraction(self)
+
+
+def _sum(r: Ring, a, b, c, d) -> Fraction:
+    """a/b + c/d for reduced fractions, past the Z_n residue path of
+    ``Fraction.__add__``."""
+    if not r.is_domain:
+        return fraction_reduce(r, r.add(r.mul(a, d), r.mul(c, b)), r.mul(b, d))
+    # a/b + c/d = (a*(d/g) + c*(b/g)) / (b*d/g) with g = gcd(b, d); only g
+    # can share a factor with that numerator (Henrici 1956). A zero sum
+    # has b = d, so it comes out as 0/1
+    one = r.one
+    g = one if b == one or d == one else r.gcd(b, d)
+    if g == one:
+        return Fraction(r, r.add(r.mul(a, d), r.mul(c, b)), r.mul(b, d))
+    b, d = r.exact_div(b, g), r.exact_div(d, g)
+    num = r.add(r.mul(a, d), r.mul(c, b))
+    h = r.gcd(num, g)
+    if h != one:
+        num, g = r.exact_div(num, h), r.exact_div(g, h)
+    return Fraction(r, num, r.mul(r.mul(b, d), g))
+
+
+def _product(r: Ring, a, b, c, d) -> Fraction:
+    """(a/b) * (c/d) for reduced fractions, past the Z_n residue path of
+    ``Fraction.__mul__``. Over a domain it reduces crosswise: a is prime to
+    b and c to d, so gcd(a, d) and gcd(c, b) are every common factor
+    (Henrici 1956)."""
+    if not r.is_domain:
+        return fraction_reduce(r, r.mul(a, c), r.mul(b, d))
+    if r.is_zero(a) or r.is_zero(c):
+        return Fraction(r, r.zero, r.one)
+    one, unit = r.one, r.is_unit
+    if d != one and not unit(a):
+        g = r.gcd(a, d)
+        if g != one:
+            a, d = r.exact_div(a, g), r.exact_div(d, g)
+    if b != one and not unit(c):
+        g = r.gcd(c, b)
+        if g != one:
+            c, b = r.exact_div(c, g), r.exact_div(b, g)
+    return Fraction(r, r.mul(a, c), r.mul(b, d))
 
 
 def fraction_reduce(ring: Ring, num, den) -> Fraction:

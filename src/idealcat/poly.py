@@ -1,24 +1,29 @@
 """Dense univariate polynomials with exact rational coefficients, computed
 fraction-free.
 
-A nonzero polynomial is stored as its content c, a `fractions.Fraction`,
-times a primitive integer polynomial P: the coefficients of P, low degree
-first, are ints with gcd 1, no trailing zero and a positive leading one.
-That split is unique, so equality and hashing compare (P, c) directly; the
-zero polynomial is ((), 0). Sums and products are integer convolutions or
-scalings of P plus one rational operation on c; a product of primitive
-polynomials is primitive (Gauss's lemma), so products need no gcd at all.
-Division is integer pseudo-division (Knuth, TAOCP vol. 2, Algorithm
-4.6.1R), and a degree-0 divisor only rescales the content. Every remainder
-is taken back to its primitive part, so Euclid's algorithm over
-``divmod`` runs as the primitive polynomial remainder sequence (Collins
-1967; Brown 1971) and its integer coefficients do not grow.
+A nonzero polynomial is stored as its content cn/cd, a reduced pair of
+ints with cd > 0, times a primitive integer polynomial P: the coefficients
+of P, low degree first, are ints with gcd 1, no trailing zero and a
+positive leading one. That split is unique, so equality and hashing
+compare (P, cn, cd) directly; the zero polynomial is ((), 0, 1). Sums and
+products are integer convolutions or scalings of P plus int and
+``math.gcd`` work on the content: a product of primitive polynomials is
+primitive (Gauss's lemma), so a product reduces only its contents,
+crosswise (gcd(an, bd) and gcd(bn, ad), never a gcd of the product), and a
+sum takes the gcd of the two content denominators first. Division is
+integer pseudo-division (Knuth, TAOCP vol. 2, Algorithm 4.6.1R), and a
+degree-0 divisor only rescales the content. Every remainder is taken back
+to its primitive part, so Euclid's algorithm over ``divmod`` runs as the
+primitive polynomial remainder sequence (Collins 1967; Brown 1971) and its
+integer coefficients do not grow.
 
 ``coeffs`` is the coefficient tuple as `fractions.Fraction` values, low
 degree first with no trailing zeros, so the zero polynomial is the empty
-tuple; it is computed on first use. Values are immutable by convention;
-all arithmetic returns fresh polynomials, making them safe to share
-across threads.
+tuple; it is computed on first use. ``leading``, ``coefficient`` and
+``evaluate`` also answer in `fractions.Fraction`. ``Poly.from_pairs``
+builds a polynomial from (numerator, denominator) int pairs without any
+Fraction. Values are immutable by convention; all arithmetic returns fresh
+polynomials, making them safe to share across threads.
 
 The text form is dense with explicit coefficients, highest degree first:
 ``3/2x^2-1x+5`` denotes (3/2)x^2 - x + 5. The parser also accepts omitted
@@ -44,42 +49,41 @@ _ZERO_Q = Q(0)
 
 
 class Poly:
-    """A polynomial over the rationals: content ``_ct`` times the primitive
-    integer polynomial ``_ic``.
+    """A polynomial over the rationals: content ``_cn/_cd`` times the
+    primitive integer polynomial ``_ic``.
 
-    Invariant: ``_ic`` is empty with ``_ct == 0`` for the zero polynomial;
-    otherwise its ints have gcd 1, the last is positive and ``_ct != 0``.
+    Invariant: ``_ic`` is empty with content 0/1 for the zero polynomial;
+    otherwise its ints have gcd 1 and the last is positive, and
+    gcd(_cn, _cd) == 1 with ``_cd > 0`` and ``_cn != 0``.
     """
 
-    __slots__ = ("_ic", "_ct", "_coeffs")
+    __slots__ = ("_ic", "_cn", "_cd", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Q | int] = ()):
         cs = [c if isinstance(c, Q) else Q(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = tuple(cs)
-        if not cs:
-            self._ic, self._ct = (), _ZERO_Q
-            return
-        den = lcm(*(c.denominator for c in cs))
-        nums = [c.numerator * (den // c.denominator) for c in cs]
-        g = gcd(*nums)
-        if nums[-1] < 0:
-            g = -g
-        self._ic = tuple(n // g for n in nums)
-        self._ct = Q(g, den)
+        p = Poly.from_pairs([(c.numerator, c.denominator) for c in cs])
+        self._ic, self._cn, self._cd, self._coeffs = p._ic, p._cn, p._cd, tuple(cs)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> Poly:
+        """The polynomial whose coefficients, low degree first, are n/d for
+        the int pairs (n, d), d > 0; the pairs need not be in lowest terms."""
+        pairs = list(pairs)
+        den = lcm(*(d for n, d in pairs if n))
+        return _normalized([n * (den // d) if n else 0 for n, d in pairs], 1, den)
 
     @classmethod
     def const(cls, value) -> Poly:
         c = Q(value)
-        return _poly((1,), c) if c else _ZERO
+        return _poly((1,), c.numerator, c.denominator) if c else _ZERO
 
     @property
     def coeffs(self) -> tuple[Q, ...]:
         if self._coeffs is None:
-            ct = self._ct
-            num, den = ct.numerator, ct.denominator
-            self._coeffs = tuple(Q(num * a, den) if a else _ZERO_Q for a in self._ic)
+            cn, cd = self._cn, self._cd
+            self._coeffs = tuple(Q(cn * a, cd) if a else _ZERO_Q for a in self._ic)
         return self._coeffs
 
     @property
@@ -93,7 +97,7 @@ class Poly:
 
     @property
     def leading(self) -> Q:
-        return self._ct * self._ic[-1] if self._ic else _ZERO_Q
+        return Q(self._cn * self._ic[-1], self._cd) if self._ic else _ZERO_Q
 
     def coefficient(self, k: int) -> Q:
         return self.coeffs[k] if 0 <= k < len(self._ic) else _ZERO_Q
@@ -102,15 +106,15 @@ class Poly:
         if not self._ic:
             return self
         lead = self._ic[-1]
-        if self._ct.numerator * lead == self._ct.denominator:
+        if self._cn == 1 and self._cd == lead:
             return self
-        return _poly(self._ic, Q(1, lead))
+        return _poly(self._ic, 1, lead)
 
     def evaluate(self, point: Q | int) -> Q:
         acc = 0
         for a in reversed(self._ic):
             acc = acc * point + a
-        return self._ct * acc
+        return Q(self._cn, self._cd) * acc
 
     def __bool__(self) -> bool:
         return bool(self._ic)
@@ -121,12 +125,13 @@ class Poly:
             return other
         if not b:
             return self
-        ca, cb = self._ct, other._ct
-        # ca*A + cb*B = (fa*A + fb*B) / den over the least common denominator
-        g = gcd(ca.denominator, cb.denominator)
-        fa = ca.numerator * (cb.denominator // g)
-        fb = cb.numerator * (ca.denominator // g)
-        den = ca.denominator // g * cb.denominator
+        ad, bd = self._cd, other._cd
+        # an/ad*A + bn/bd*B = (fa*A + fb*B) / den over the least common denominator
+        g = gcd(ad, bd)
+        if g == 1:
+            fa, fb, den = self._cn * bd, other._cn * ad, ad * bd
+        else:
+            fa, fb, den = self._cn * (bd // g), other._cn * (ad // g), ad // g * bd
         if len(a) < len(b):
             a, b, fa, fb = b, a, fb, fa
         out = [fa * x + fb * y for x, y in zip(a, b)]
@@ -134,7 +139,7 @@ class Poly:
         return _normalized(out, 1, den)
 
     def __neg__(self) -> Poly:
-        return _poly(self._ic, -self._ct) if self._ic else self
+        return _poly(self._ic, -self._cn, self._cd) if self._ic else self
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -143,16 +148,19 @@ class Poly:
         a, b = self._ic, other._ic
         if not a or not b:
             return _ZERO
-        ct = self._ct * other._ct
+        # an/ad * bn/bd reduced crosswise: both contents are in lowest terms
+        an, ad, bn, bd = self._cn, self._cd, other._cn, other._cd
+        g, h = gcd(an, bd), gcd(bn, ad)
+        cn, cd = (an // g) * (bn // h), (ad // h) * (bd // g)
         if len(a) == 1:  # a primitive constant is 1
-            return _poly(b, ct)
+            return _poly(b, cn, cd)
         if len(b) == 1:
-            return _poly(a, ct)
+            return _poly(a, cn, cd)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return _poly(tuple(out), ct)
+        return _poly(tuple(out), cn, cd)
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         b = other._ic
@@ -161,9 +169,12 @@ class Poly:
         a = self._ic
         if len(a) < len(b):
             return _ZERO, self
-        ca, cb = self._ct, other._ct
+        an, ad, bn, bd = self._cn, self._cd, other._cn, other._cd
         if len(b) == 1:
-            return _poly(a, ca / cb), _ZERO
+            # (an/ad) / (bn/bd) reduced crosswise, the sign moved up
+            g, h = gcd(an, bn), gcd(ad, bd)
+            cn, cd = (an // g) * (bd // h), (ad // h) * (bn // g)
+            return (_poly(a, cn, cd) if cd > 0 else _poly(a, -cn, -cd)), _ZERO
         # Pseudo-division of A by B, scaling the remainder by the leading
         # coefficient lead only when lead does not divide its top term:
         # scale*A = quot*B + rem.
@@ -185,10 +196,9 @@ class Poly:
                 for i, d in enumerate(b):
                     rem[k + i] -= c * d
         del rem[n:]
-        # self = (ca/cb) * (quot/scale) * other + ca * rem / scale
-        quotient = _normalized(quot, ca.numerator * cb.denominator,
-                               ca.denominator * cb.numerator * scale)
-        return quotient, _normalized(rem, ca.numerator, ca.denominator * scale)
+        # self = (an/ad) / (bn/bd) * (quot/scale) * other + (an/ad) * rem / scale
+        quotient = _normalized(quot, an * bd, ad * bn * scale)
+        return quotient, _normalized(rem, an, ad * scale)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -197,10 +207,11 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self._ic == other._ic and self._ct == other._ct
+        return (isinstance(other, Poly) and self._ic == other._ic
+                and self._cn == other._cn and self._cd == other._cd)
 
     def __hash__(self) -> int:
-        return hash((self._ic, self._ct))
+        return hash((self._ic, self._cn, self._cd))
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
@@ -209,16 +220,18 @@ class Poly:
         return format_poly(self)
 
 
-def _poly(ic: tuple[int, ...], ct: Q) -> Poly:
-    """The polynomial ct * ic; ic must already be primitive with a positive
-    leading coefficient and ct nonzero."""
+def _poly(ic: tuple[int, ...], cn: int, cd: int) -> Poly:
+    """The polynomial (cn/cd) * ic; ic must already be primitive with a
+    positive leading coefficient, and cn/cd nonzero in lowest terms with
+    cd > 0 (the zero polynomial alone is ((), 0, 1))."""
     p = object.__new__(Poly)
-    p._ic, p._ct, p._coeffs = ic, ct, None
+    p._ic, p._cn, p._cd, p._coeffs = ic, cn, cd, None
     return p
 
 
 def _normalized(ints: list[int], num: int, den: int) -> Poly:
-    """The polynomial (num/den) * ints, for any integer list ints."""
+    """The polynomial (num/den) * ints, for any integer list ints and any
+    nonzero num and den."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
@@ -228,25 +241,32 @@ def _normalized(ints: list[int], num: int, den: int) -> Poly:
         g = -g
     if g != 1:
         ints = [x // g for x in ints]
-    return _poly(tuple(ints), Q(num * g, den))
+    num *= g
+    h = gcd(num, den)
+    if den < 0:
+        h = -h
+    return _poly(tuple(ints), num // h, den // h)
 
 
-_ZERO = Poly()
+_ZERO = _poly((), 0, 1)
 
 
 def format_poly(p: Poly) -> str:
-    if p.is_zero:
+    ic = p._ic
+    if not ic:
         return "0"
+    cn, cd = p._cn, p._cd
     parts: list[str] = []
-    for d in range(p.degree, -1, -1):
-        c = p.coefficient(d)
-        if not c:
+    for d in range(len(ic) - 1, -1, -1):
+        a = ic[d]
+        if not a:
             continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        coeff = str(mag.numerator)
-        if mag.denominator != 1:
-            coeff += f"/{mag.denominator}"
+        g = gcd(a, cd)  # cn is prime to cd, so (cn*a)/cd reduces by g alone
+        num, den = cn * (a // g), cd // g
+        sign = "-" if num < 0 else ("+" if parts else "")
+        coeff = str(abs(num))
+        if den != 1:
+            coeff += f"/{den}"
         var = "" if d == 0 else ("x" if d == 1 else f"x^{d}")
         parts.append(f"{sign}{coeff}{var}")
     return "".join(parts)
@@ -268,7 +288,7 @@ def parse_poly(text: str) -> Poly:
         raise ParseError("empty polynomial literal")
     if compact == "0":
         return Poly()
-    coeffs: dict[int, Q] = {}
+    coeffs: dict[int, tuple[int, int]] = {}  # degree -> (num, den), summed exactly
     pos = 0
     while pos < len(compact):
         m = _TERM.match(compact, pos)
@@ -284,11 +304,15 @@ def parse_poly(text: str) -> Poly:
             raise ParseError(f"too many digits in polynomial literal {text[:40]!r}") from None
         if c_den == 0:
             raise ParseError(f"zero denominator in polynomial literal {text!r}")
-        c = Q(c_num, c_den)
         if sign == "-":
-            c = -c
+            c_num = -c_num
         deg = 0 if xpart is None else (1 if exp is None else _degree(exp, text))
-        coeffs[deg] = coeffs.get(deg, Q(0)) + c
+        if deg in coeffs:  # reduced, so repeated terms do not grow the pair
+            n, d = coeffs[deg]
+            c_num, c_den = n * c_den + c_num * d, d * c_den
+            g = gcd(c_num, c_den)
+            c_num, c_den = c_num // g, c_den // g
+        coeffs[deg] = (c_num, c_den)
         pos = m.end()
     top = max(coeffs)
-    return Poly(coeffs.get(d, Q(0)) for d in range(top + 1))
+    return Poly.from_pairs(coeffs.get(d, (0, 1)) for d in range(top + 1))

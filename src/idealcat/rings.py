@@ -291,7 +291,7 @@ class RationalPolynomialRing(Ring):
     def random_element(self, rng, max_abs: int, max_degree: int) -> Poly:
         # coefficients come from fixed ranges; max_abs bounds integers only
         degree = rng.randint(0, max_degree)
-        return Poly([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)])
+        return Poly.from_pairs([(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)])
 
 
 INTEGERS = IntegerRing()

@@ -170,3 +170,47 @@ def test_qpoly_reduce_examples():
     check_reduce([Q(1, 2)], [-1, 1])  # (1/2) / (x - 1)
     check_reduce([-1, 0, 1], [-2, 2])  # (x^2 - 1) / (2x - 2) = (x + 1)/2
     check_reduce([1, 1], [-1, 0, 1])  # (x + 1) / (x^2 - 1) = 1/(x - 1)
+
+
+# --- crosswise products and gcd-first sums against fraction_reduce -----------
+
+def planted_pairs(ring, elements):
+    """Two reduced fractions a/b, c/d whose parts were built with planted
+    common factors between a and d, c and b, and b and d; numerators may be
+    zero or negative and denominators units."""
+    nonzero = elements.filter(lambda e: not ring.is_zero(e))
+    factor = st.one_of(st.just(ring.one), nonzero)
+
+    @st.composite
+    def pairs(draw):
+        f_ad, f_bc, f_bd, y, w = (draw(factor) for _ in range(5))
+        x, z = draw(elements), draw(elements)
+        mul = ring.mul
+        return (fraction_reduce(ring, mul(f_ad, x), mul(mul(f_bc, f_bd), y)),
+                fraction_reduce(ring, mul(f_bc, z), mul(mul(f_ad, f_bd), w)))
+
+    return pairs()
+
+
+fraction_pairs = st.one_of(
+    planted_pairs(Z, st.integers(-12, 12)),
+    planted_pairs(QX, st.builds(Poly, st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=3))),
+)
+
+
+@given(fraction_pairs)
+def test_sums_and_products_match_the_reduced_cross_products(pair):
+    f, g = pair
+    r = f.ring
+    a, b, c, d = f.num, f.den, g.num, g.den
+
+    def cross(e):
+        return fraction_reduce(r, r.add(r.mul(a, d), r.mul(e, b)), r.mul(b, d))
+
+    cases = ((f * g, fraction_reduce(r, r.mul(a, c), r.mul(b, d))),
+             (f + g, cross(c)), (f - g, cross(r.neg(c))))
+    for got, want in cases:
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den == r.canonical(got.den)
+        assert r.is_unit(r.gcd(got.num, got.den))

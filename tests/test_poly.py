@@ -106,17 +106,22 @@ small_polys = st.lists(st.sampled_from([Q(0), Q(1), Q(-1), Q(1, 2), Q(2)]), max_
 
 def same(p: Poly, ref: RefPoly) -> bool:
     """p equals ref, p keeps its invariant and coeffs stays a Fraction tuple."""
-    ints = p._ic
-    primitive = not ints or (math.gcd(*ints) == 1 and ints[-1] > 0 and p._ct != 0)
+    ints, cn, cd = p._ic, p._cn, p._cd
+    reduced = math.gcd(cn, cd) == 1 and cd > 0
+    primitive = (cn, cd) == (0, 1) if not ints else (
+        math.gcd(*ints) == 1 and ints[-1] > 0 and cn != 0 and reduced)
     return (primitive and type(p.coeffs) is tuple
             and all(type(c) is Q for c in p.coeffs) and p.coeffs == ref.coeffs)
 
 
 def test_invariant_examples():
     p = Poly((Q(1, 2), Q(-3, 4), Q(-5, 6)))
-    assert p._ic == (-6, 9, 10) and p._ct == Q(-1, 12)
-    assert Poly()._ic == () and Poly()._ct == 0
-    assert Poly.const(Q(-2, 3))._ic == (1,) and Poly.const(0).is_zero
+    assert p._ic == (-6, 9, 10) and (p._cn, p._cd) == (-1, 12)
+    assert Poly()._ic == () and (Poly()._cn, Poly()._cd) == (0, 1)
+    c = Poly.const(Q(-2, 3))
+    assert c._ic == (1,) and (c._cn, c._cd) == (-2, 3) and Poly.const(0).is_zero
+    for q in (p, c, p * c, p + c, -p):
+        assert math.gcd(q._cn, q._cd) == 1 and q._cd > 0 and q._cn != 0
 
 
 @given(wide_polys, wide_polys)
@@ -170,6 +175,16 @@ def test_text_form_matches_reference(a):
     p, rp = Poly(a), RefPoly(a)
     text = format_poly(p)
     assert text == ref_format(rp)
+    assert same(parse_poly(text), ref_parse(text))
+
+
+literal_terms = st.tuples(st.sampled_from("+-"), st.integers(0, 12), st.integers(1, 6),
+                          st.integers(0, 3))
+
+
+@given(st.lists(literal_terms, min_size=1, max_size=8))
+def test_parse_sums_the_terms_of_one_degree_like_the_reference(terms):
+    text = "".join(f"{sign}{n}/{d}x^{e}" for sign, n, d, e in terms)
     assert same(parse_poly(text), ref_parse(text))
 
 

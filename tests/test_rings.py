@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -200,3 +202,17 @@ def test_ideal_generators_refuse_a_modulus_above_the_limit():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (f"zmod:{10**23} has a modulus above the limit {MAX_OBJECT_MODULUS} "
                            "for listing its ideals\n")
+
+
+@pytest.mark.parametrize("max_degree", range(5))
+def test_qpoly_random_element_draw_is_pinned(max_degree):
+    # the sampled verifier's references rest on this exact draw and rng order
+    for seed in range(100):
+        rng = random.Random(seed)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        p = QX.random_element(rng, 5, max_degree)
+        degree = clone.randint(0, max_degree)
+        want = Poly([Q(clone.randint(-4, 4), clone.randint(1, 3)) for _ in range(degree + 1)])
+        assert p == want and p.coeffs == want.coeffs
+        assert rng.getstate() == clone.getstate()
