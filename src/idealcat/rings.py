@@ -263,7 +263,10 @@ class RationalPolynomialRing(Ring):
         return a.monic()
 
     def canonical_unit(self, a: Poly) -> Poly:
-        return Poly.const(a.leading) if not a.is_zero else self.one
+        """The leading coefficient as a constant, built from the int content."""
+        if a.is_zero:
+            return self.one
+        return Poly.from_pairs([(a._cn * a._ic[-1], a._cd)])
 
     def is_unit(self, a: Poly) -> bool:
         return a.degree == 0

@@ -47,11 +47,15 @@ apex with fewer maps into it (or out of it) at some object than there are
 cones there cannot be universal, by pigeonhole, so no legs are tried on it.
 A cokernel apex E of f needs as many maps E -> C as there are maps cod f
 -> C that kill f, at each C; unlike the pigeonhole bound this rests on
-laws of the standard ``compose`` (see ``_search_cokernel``).
+laws of the standard composition (see ``_search_cokernel``). The world
+computes the composites it takes itself (cone counts, cancellation,
+idempotents, right divisors, killers) as residues, ``_residue``, with no
+Fraction or Morphism built; the laws the checks test still go through
+``w.laws``.
 
 ``verify_ring`` builds one world and hands it to ``check_axioms`` and
 ``audit_existence``. Sharing it is exact: the audits never read
-``w.laws``, only the standard ``compose``, ``cokernel`` and ``biproduct``.
+``w.laws``, only residues and the standard ``cokernel`` and ``biproduct``.
 The world runs the cokernel rule over every morphism once
 (``cokernel_sweep``: the first pair that fails ``_is_cokernel`` and every
 map the rule refuses), and keeps the verdict of ``_is_biproduct`` for each
@@ -366,7 +370,8 @@ class _FiniteWorld:
         return (self.base[key],) if self.on_bases else self.hom[key]
 
     def idempotents(self):
-        return (e for A in self.objects for e in self.hom[(A, A)] if compose(e, e) == e)
+        return (e for A in self.objects for e in self.hom[(A, A)]
+                if _residue(e, e) == e.multiplier.num)
 
     def ideal_triples(self, few: bool = False):
         """Every triple of objects."""
@@ -389,13 +394,15 @@ class _FiniteWorld:
         injective on every hom-set it applies to."""
         for X in self.objects:
             gs = self.hom[(X, f.dom)] if left else self.hom[(f.cod, X)]
-            if len({compose(f, g) if left else compose(g, f) for g in gs}) != len(gs):
+            if len({_residue(f, g) if left else _residue(g, f) for g in gs}) != len(gs):
                 return False
         return True
 
     def right_divisors(self, j: Morphism, target: Morphism) -> list[Morphism]:
         """Every h with j after h equal to target."""
-        return [h for h in self.hom[(target.dom, j.dom)] if compose(j, h) == target]
+        k = target.multiplier.num
+        return [h for h in self.hom[(target.dom, j.dom)]
+                if _residue(j, h) == k] if j.cod == target.cod else []
 
     @cached_property
     def cokernel_sweep(self) -> tuple[dict | None, list[Morphism]]:
@@ -506,6 +513,16 @@ class _SampledWorld:
         return [h] if compose(j, h) == target else []
 
 
+def _residue(g: Morphism, f: Morphism) -> int:
+    """The residue of g after f over Z_n, as ``compose(g, f).multiplier.num``
+    reads it and with its NotComposable, but with no Fraction or Morphism:
+    k l mod n/a for multipliers k of f: <a> -> B and l of g (the Fraction
+    product is k l mod n, and n/a divides n)."""
+    if f.cod is not g.dom and f.cod != g.dom:
+        raise NotComposable(f"cod {f.cod} of f differs from dom {g.dom} of g")
+    return f.multiplier.num * g.multiplier.num % f.dom._modulus
+
+
 def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: bool,
                admits: Callable[[tuple], bool] | None = None) -> tuple | None:
     """(C, cone) for the first admitted cone, at C, that the legs do not
@@ -523,12 +540,10 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
     # all over the world's ring, are told apart by the residue k alone.
     for C in w.objects:
         if limit:
-            hits = Counter(tuple(compose(leg, h).multiplier.num for leg in legs)
-                           for h in w.hom[(C, apex)])
+            hits = Counter(tuple(_residue(leg, h) for leg in legs) for h in w.hom[(C, apex)])
             cones = product(*(w.hom[(C, leg.cod)] for leg in legs))
         else:
-            hits = Counter(tuple(compose(h, leg).multiplier.num for leg in legs)
-                           for h in w.hom[(apex, C)])
+            hits = Counter(tuple(_residue(h, leg) for leg in legs) for h in w.hom[(apex, C)])
             cones = product(*(w.hom[(leg.dom, C)] for leg in legs))
         for cone in cones:
             key = tuple(g.multiplier.num for g in cone)
@@ -870,7 +885,7 @@ def _fin_hom_oracle(w: _FiniteWorld):
 def _fin_kernel_universal(w: _FiniteWorld):
     for f in w.morphisms:
         K, j = w.laws.kernel(f)
-        miss = _universal(w, K, (j,), True, lambda c: compose(f, c[0]).is_zero)
+        miss = _universal(w, K, (j,), True, lambda c: not _residue(f, c[0]))
         if miss is not None:
             return {"f": f.literal, "j'": miss[1][0].literal, "law": "unique factorization"}
     return None
@@ -1097,8 +1112,8 @@ def check_axioms(
 def _is_cokernel(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
     """Whether p: cod f -> E is enumerated, kills f, and factors every map
     that kills f exactly once: whether _search_cokernel lists (E, p)."""
-    return (p in w.members[(f.cod, E)] and compose(p, f).is_zero
-            and _universal(w, E, (p,), False, lambda c: compose(c[0], f).is_zero) is None)
+    return (p in w.members[(f.cod, E)] and not _residue(p, f)
+            and _universal(w, E, (p,), False, lambda c: not _residue(c[0], f)) is None)
 
 
 def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
@@ -1108,14 +1123,15 @@ def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
     |hom(E, C)| equals the number of killers of f at C, the maps h: cod f ->
     C with h f = 0. For a cokernel p, h -> h p maps hom(E, C) into the
     killers, as (h p) f = h (p f) = h 0 = 0, and universality makes that map
-    one to one and onto. Unlike the biproduct bound, this rests on laws: the
-    standard ``compose`` is associative, sends h 0 to 0 and lands in the
-    enumerated hom-sets, whose maps have distinct multipliers. All of them
-    hold over Z_n by construction, and the searches and the audits use the
-    standard ``compose``, not ``w.laws``. Over Z_n, |hom(E, R)| = |E| fixes
-    E, so at most one apex is left.
+    one to one and onto. Unlike the biproduct bound, this rests on laws of
+    the standard composition: it is associative, sends h 0 to 0 and lands in
+    the enumerated hom-sets, whose maps have distinct multipliers. All of
+    them hold over Z_n by construction. The world computes every composite
+    of its own as a residue (``_residue``), never through ``compose`` or
+    ``w.laws``. Over Z_n, |hom(E, R)| = |E| fixes E, so at most one apex is
+    left.
     """
-    killers = [sum(compose(h, f).is_zero for h in w.hom[(f.cod, C)]) for C in w.objects]
+    killers = [sum(not _residue(h, f) for h in w.hom[(f.cod, C)]) for C in w.objects]
     return [CokernelPair(E, p) for E in w.objects
             if [len(w.hom[(E, C)]) for C in w.objects] == killers
             for p in w.hom[(f.cod, E)] if _is_cokernel(w, f, E, p)]

@@ -204,6 +204,17 @@ def test_ideal_generators_refuse_a_modulus_above_the_limit():
                            "for listing its ideals\n")
 
 
+@pytest.mark.parametrize("max_abs", [5, 10**30])
+def test_qpoly_canonical_unit_is_the_leading_coefficient_as_a_constant(max_abs):
+    rng = random.Random(max_abs)
+    for _ in range(300):
+        degree = rng.randint(0, 4)
+        p = Poly([Q(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
+                  for _ in range(degree + 1)])
+        unit, expected = QX.canonical_unit(p), Poly.const(p.leading) if p else QX.one
+        assert unit == expected and unit.coeffs == expected.coeffs
+
+
 @pytest.mark.parametrize("max_degree", range(5))
 def test_qpoly_random_element_draw_is_pinned(max_degree):
     # the sampled verifier's references rest on this exact draw and rng order

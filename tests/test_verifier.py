@@ -914,6 +914,92 @@ def test_counting_killers_skips_most_cokernel_cone_tests(monkeypatch):
     assert calls["cokernel"] == len(all_morphisms(ring)), calls  # once per morphism
 
 
+@pytest.mark.parametrize("n", range(2, 37))
+def test_the_residue_of_a_composite_is_its_canonical_multiplier(n):
+    morphisms = all_morphisms(ModularRing(n))
+    out_of = {}
+    for g in morphisms:
+        out_of.setdefault(g.dom, []).append(g)
+    for f in morphisms:  # <0> domains included: residue 0 modulo 1
+        for g in out_of[f.cod]:
+            assert verifier._residue(g, f) == compose(g, f).multiplier.num, (f, g)
+
+
+def _universal_by_compose(w, apex, legs, limit):
+    """``_universal`` as it was when every hit key came from a Morphism that
+    compose built."""
+    for C in w.objects:
+        if limit:
+            hits = Counter(tuple(compose(leg, h).multiplier.num for leg in legs)
+                           for h in w.hom[(C, apex)])
+            cones = product(*(w.hom[(C, leg.cod)] for leg in legs))
+        else:
+            hits = Counter(tuple(compose(h, leg).multiplier.num for leg in legs)
+                           for h in w.hom[(apex, C)])
+            cones = product(*(w.hom[(leg.dom, C)] for leg in legs))
+        for cone in cones:
+            key = tuple(g.multiplier.num for g in cone)
+            if hits[key] != 1:
+                return C, cone
+    return None
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_residue_cone_counts_match_the_morphism_building_count(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    for apex, limit in product(w.objects, (True, False)):
+        legs = [f for f in w.morphisms if (f.dom if limit else f.cod) == apex]
+        for chosen in [*((leg,) for leg in legs), *product(legs, repeat=2)]:
+            assert (verifier._universal(w, apex, chosen, limit)
+                    == _universal_by_compose(w, apex, chosen, limit)), (apex, chosen, limit)
+
+
+def _kernel_leg_out_of_the_domain(f):
+    """kernel whose leg is its inclusion but whose apex is dom f."""
+    return KernelPair(f.dom, kernel(f).inclusion)
+
+
+def _kernel_leg_into_the_ring(f):
+    """kernel whose leg is the zero map into <1>, not into dom f."""
+    K = kernel(f).object
+    return KernelPair(K, zero_morphism(K, ideal_new(f.dom.ring, [1])))
+
+
+@pytest.mark.parametrize("planted, error", [
+    # a leg whose dom is not the apex raises while the hits are counted
+    (_kernel_leg_out_of_the_domain, "NotComposable: cod <1> of f differs from dom <0> of g"),
+    # a leg whose cod is not dom f raises when a missed cone is tested
+    (_kernel_leg_into_the_ring, "NotComposable: cod <1> of f differs from dom <0> of g"),
+], ids=["dom-not-apex", "cod-not-dom-f"])
+def test_non_composable_kernel_legs_fail_kernel_universal_with_compose_error(planted, error):
+    report = check_axioms(ModularRing(12), laws=replace(STANDARD_LAWS, kernel=planted))
+    assert {c.name: c.witness for c in report.checks}["kernel-universal"] == {"error": error}
+
+
+def _world_answers(w):
+    """What the world computes from composites of its own, on legs that compose."""
+    answers = [verifier._universal(w, apex, (leg,), limit)
+               for apex, limit in product(w.objects, (True, False))
+               for leg in w.morphisms if (leg.dom if limit else leg.cod) == apex]
+    answers += [(w.cancellable(f, True), w.cancellable(f, False)) for f in w.morphisms]
+    answers.append(list(w.idempotents()))
+    answers += [w.right_divisors(j, t) for j in w.morphisms for t in w.morphisms
+                if j.cod == t.cod]
+    answers += [verifier._search_cokernel(w, f) for f in w.morphisms]
+    return answers
+
+
+def test_the_worlds_own_composites_build_no_morphism(monkeypatch):
+    ring = ModularRing(12)
+    expected = _world_answers(verifier._FiniteWorld(ring, STANDARD_LAWS))
+
+    def refuse(g, f):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(verifier, "compose", refuse)
+    assert _world_answers(verifier._FiniteWorld(ring, STANDARD_LAWS)) == expected
+
+
 def _law_read_by_an_audit(*args):
     raise AssertionError("an audit called a law of the world's table")
 
