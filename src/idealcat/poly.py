@@ -20,10 +20,13 @@ integer coefficients do not grow.
 ``coeffs`` is the coefficient tuple as `fractions.Fraction` values, low
 degree first with no trailing zeros, so the zero polynomial is the empty
 tuple; it is computed on first use. ``leading``, ``coefficient`` and
-``evaluate`` also answer in `fractions.Fraction`. ``Poly.from_pairs``
-builds a polynomial from (numerator, denominator) int pairs without any
-Fraction. Values are immutable by convention; all arithmetic returns fresh
-polynomials, making them safe to share across threads.
+``evaluate`` also answer in `fractions.Fraction`. These four are the only
+places that import `fractions` (with `decimal` behind it), so loading this
+module does not. ``Poly.from_pairs`` builds a polynomial from (numerator,
+denominator) int pairs without any Fraction, and ``Poly(...)`` and
+``Poly.const`` read an int as the pair (int, 1). Values are immutable by
+convention; all arithmetic returns fresh polynomials, making them safe to
+share across threads.
 
 The text form is dense with explicit coefficients, highest degree first:
 ``3/2x^2-1x+5`` denotes (3/2)x^2 - x + 5. The parser also accepts omitted
@@ -36,16 +39,29 @@ polynomial of that degree is built from it.
 from __future__ import annotations
 
 import re
-from fractions import Fraction as Q
 from math import gcd, lcm
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ParseError
+
+if TYPE_CHECKING:
+    from fractions import Fraction as Q
 
 _TERM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?(x(?:\^(\d+))?)?")
 
 MAX_LITERAL_DEGREE = 4096
-_ZERO_Q = Q(0)
+
+
+def _pair(value) -> tuple[int, int]:
+    """value as a reduced (numerator, denominator) pair: (value, 1) for an
+    int, else through `fractions.Fraction` (a Fraction, a str, a float)."""
+    if type(value) is int:
+        return value, 1
+    from fractions import Fraction
+
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
 class Poly:
@@ -60,11 +76,8 @@ class Poly:
     __slots__ = ("_ic", "_cn", "_cd", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Q | int] = ()):
-        cs = [c if isinstance(c, Q) else Q(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        p = Poly.from_pairs([(c.numerator, c.denominator) for c in cs])
-        self._ic, self._cn, self._cd, self._coeffs = p._ic, p._cn, p._cd, tuple(cs)
+        p = Poly.from_pairs(map(_pair, coeffs))
+        self._ic, self._cn, self._cd, self._coeffs = p._ic, p._cn, p._cd, None
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> Poly:
@@ -76,14 +89,16 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> Poly:
-        c = Q(value)
-        return _poly((1,), c.numerator, c.denominator) if c else _ZERO
+        n, d = _pair(value)
+        return _poly((1,), n, d) if n else _ZERO
 
     @property
     def coeffs(self) -> tuple[Q, ...]:
         if self._coeffs is None:
+            from fractions import Fraction
+
             cn, cd = self._cn, self._cd
-            self._coeffs = tuple(Q(cn * a, cd) if a else _ZERO_Q for a in self._ic)
+            self._coeffs = tuple(Fraction(cn * a, cd) for a in self._ic)
         return self._coeffs
 
     @property
@@ -97,10 +112,14 @@ class Poly:
 
     @property
     def leading(self) -> Q:
-        return Q(self._cn * self._ic[-1], self._cd) if self._ic else _ZERO_Q
+        from fractions import Fraction
+
+        return Fraction(self._cn * self._ic[-1], self._cd) if self._ic else Fraction(0)
 
     def coefficient(self, k: int) -> Q:
-        return self.coeffs[k] if 0 <= k < len(self._ic) else _ZERO_Q
+        from fractions import Fraction
+
+        return self.coeffs[k] if 0 <= k < len(self._ic) else Fraction(0)
 
     def monic(self) -> Poly:
         if not self._ic:
@@ -111,10 +130,12 @@ class Poly:
         return _poly(self._ic, 1, lead)
 
     def evaluate(self, point: Q | int) -> Q:
+        from fractions import Fraction
+
         acc = 0
         for a in reversed(self._ic):
             acc = acc * point + a
-        return Q(self._cn, self._cd) * acc
+        return Fraction(self._cn, self._cd) * acc
 
     def __bool__(self) -> bool:
         return bool(self._ic)

@@ -14,7 +14,6 @@ interior mutation anywhere in this module.
 from __future__ import annotations
 
 import math
-from fractions import Fraction as Q
 
 from .errors import InfiniteObjectClass, ListingTooLarge, ParseError
 from .poly import MAX_LITERAL_DEGREE, Poly, parse_poly
@@ -243,7 +242,11 @@ class RationalPolynomialRing(Ring):
     def coerce(self, value) -> Poly:
         if isinstance(value, Poly):
             return value
-        if type(value) in (int, Q):
+        if type(value) is int:
+            return Poly.const(value)
+        from fractions import Fraction  # loaded already if value is one
+
+        if type(value) is Fraction:
             return Poly.const(value)
         raise TypeError(f"not a polynomial element: {value!r}")
 

@@ -20,8 +20,9 @@ of objects. That settles them once P1 holds: each hom-set is Z_k under
 ``laws.add`` (the orbit b, b+b, ... of its base lists it, x_i + x_j =
 x_(i+j mod k) for every pair, ``zero_morphism`` is x_k and ``hom_neg(x_i)``
 is x_(k-i)), and ``laws.compose`` sends (x_i, y_j) to z_(ijc mod m) for
-one c with k c = l c = 0 mod m. P1 alone is the group law and
-bilinearity, and both sides of associativity are tri-additive. The two
+one c with k c = l c = 0 mod m, and these c satisfy c_ABC c_ACD = c_BCD
+c_ABD mod |Hom(A, D)| for every quadruple of objects. P1 alone is the group
+law, bilinearity and, by that cocycle test, associativity. The two
 pointwise laws rest also on P3: each enumerated f: <a> -> B sends a into
 B and is additive along a, f(x + a) = f(x) + f(a) for every x, so
 f(k a) = k f(a). Then both sides of add-pointwise are additive
@@ -50,8 +51,9 @@ A cokernel apex E of f needs as many maps E -> C as there are maps cod f
 laws of the standard composition (see ``_search_cokernel``). The world
 computes the composites it takes itself (cone counts, cancellation,
 idempotents, right divisors, killers) as residues, ``_residue``, with no
-Fraction or Morphism built; the laws the checks test still go through
-``w.laws``.
+Fraction or Morphism built, and keeps the residues of every hom-set in a
+column per object, which the cone tests and cancellation read; the laws the
+checks test still go through ``w.laws``.
 
 ``verify_ring`` builds one world and hands it to ``check_axioms`` and
 ``audit_existence``. Sharing it is exact: the audits never read
@@ -311,8 +313,10 @@ def morphism_table(f: Morphism) -> FunctionTable:
 
 
 class _FiniteWorld:
-    """Precomputed objects, hom-sets (with their bases) and ideal elements of
-    the Z_n category; each case source yields every case and ignores ``few``.
+    """Precomputed objects, hom-sets (with their bases and, per object, the
+    columns of hom-sets into and out of it with their residues) and ideal
+    elements of the Z_n category; each case source yields every case and
+    ignores ``few``.
     Its generator copy (``on_bases``) keeps the morphisms and composable
     chains, but gives parallel partners on bases, points on generators, and
     base chains to a law additive in each map."""
@@ -329,6 +333,13 @@ class _FiniteWorld:
             key: hs.elements for key, hs in homsets.items()}
         self.base = {key: _raw_morphism(*key, hs.base) for key, hs in homsets.items()}
         self.morphisms = [f for homset in self.hom.values() for f in homset]
+        residues = {key: tuple(f.multiplier.num for f in homset)
+                    for key, homset in self.hom.items()}
+        # the (C, residues, maps) of hom(C, X) and of hom(X, C) for each C, in object order
+        self.into = {X: [(C, residues[(C, X)], self.hom[(C, X)]) for C in self.objects]
+                     for X in self.objects}
+        self.out_of = {X: [(C, residues[(X, C)], self.hom[(X, C)]) for C in self.objects]
+                       for X in self.objects}
         self.elements = {A: ideal_elements(A) for A in self.objects}
         self.members = {key: frozenset(homset) for key, homset in self.hom.items()}
         self.settled: dict[Callable, bool] = {}
@@ -392,9 +403,10 @@ class _FiniteWorld:
     def cancellable(self, f: Morphism, left: bool) -> bool:
         """Literal cancellation: g -> f g (left) or g -> g f (right) is
         injective on every hom-set it applies to."""
-        for X in self.objects:
-            gs = self.hom[(X, f.dom)] if left else self.hom[(f.cod, X)]
-            if len({_residue(f, g) if left else _residue(g, f) for g in gs}) != len(gs):
+        k = f.multiplier.num
+        for X, rs, _ in self.into[f.dom] if left else self.out_of[f.cod]:
+            m = X._modulus if left else f.dom._modulus
+            if len({r * k % m for r in rs}) != len(rs):
                 return False
         return True
 
@@ -535,18 +547,28 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
     order, and ``admits`` (default: every cone) picks the cones that must be hit.
     With no legs the one cone at C is empty, hit once per map C -> apex (apex
     -> C for a colimit): the test of a terminal (initial) object.
+
+    Each leg's maps share dom and cod, so their canonical multipliers k/1,
+    all over the world's ring, are told apart by the residue k alone: a cone
+    is keyed by the tuple of its residues, read from the world's columns, and
+    a hit by the residues of its composites with the legs (``_residue``).
     """
-    # Each leg's maps share dom and cod, so their canonical multipliers k/1,
-    # all over the world's ring, are told apart by the residue k alone.
-    for C in w.objects:
-        if limit:
-            hits = Counter(tuple(_residue(leg, h) for leg in legs) for h in w.hom[(C, apex)])
-            cones = product(*(w.hom[(C, leg.cod)] for leg in legs))
-        else:
-            hits = Counter(tuple(_residue(h, leg) for leg in legs) for h in w.hom[(apex, C)])
-            cones = product(*(w.hom[(leg.dom, C)] for leg in legs))
-        for cone in cones:
-            key = tuple(g.multiplier.num for g in cone)
+    columns = w.into if limit else w.out_of
+    apex_column = columns[apex]
+    for leg in legs:  # the text _residue raises on the first composite
+        if limit and leg.dom != apex:
+            raise NotComposable(f"cod {apex} of f differs from dom {leg.dom} of g")
+        if not limit and leg.cod != apex:
+            raise NotComposable(f"cod {leg.cod} of f differs from dom {apex} of g")
+    ks = [leg.multiplier.num for leg in legs]
+    for (C, rs, _), *cols in zip(apex_column, *(columns[leg.cod if limit else leg.dom]
+                                                 for leg in legs)):
+        # leg h (limit) or h leg has residue r k modulo the modulus of its domain
+        ms = [C._modulus] * len(legs) if limit else [leg.dom._modulus for leg in legs]
+        keys = [[r * k % m for r in rs] for k, m in zip(ks, ms)]
+        hits = Counter(zip(*keys)) if legs else Counter({(): len(rs)})
+        for key, cone in zip(product(*(col[1] for col in cols)),
+                             product(*(col[2] for col in cols))):
             if hits[key] != 1 and (admits is None or admits(cone)):
                 return C, cone
     return None
@@ -566,7 +588,15 @@ def _cyclic_hom_sets(w: _FiniteWorld):
     the bases is an enumerated z_c with k c = l c = 0 mod m, and y_j x_i =
     z_(ijc mod m) for every i and j. So composition is (i, j) -> ijc mod m,
     well defined on Z_k x Z_l (k and l kill c mod m) and additive in i and
-    in j: with the addition tables, both distributive laws hold."""
+    in j: with the addition tables, both distributive laws hold.
+
+    Last, the cocycle test: c_ABC c_ACD = c_BCD c_ABD mod |Hom(A, D)| for
+    every quadruple of objects. With w and u the orbits of Hom(C, D) and
+    Hom(A, D), the tables give h (g f) = u_(ijp c_ABC c_ACD) and (h g) f =
+    u_(ijp c_BCD c_ABD) for f = x_i, g = y_j and h = w_p. Reducing the
+    inner composite mod |Hom(A, C)| or |Hom(B, D)| first changes neither
+    side, as those orders kill c_ACD and c_ABD mod |Hom(A, D)|; so the test
+    is associativity, and its witness the three bases."""
     add = w.laws.add
     orbits = {}
     for key, homset in w.hom.items():
@@ -584,6 +614,7 @@ def _cyclic_hom_sets(w: _FiniteWorld):
             for j, y in enumerate(orbit):
                 if add(x, y) != orbit[(i + j + 1) % k]:
                     return {"f": x.literal, "g": y.literal, "law": "cyclic table"}
+    composites = {}  # c_ABC is composites[(A, B)][i] for C = w.objects[i]
     for A, B, C in product(w.objects, repeat=3):
         fs, gs, hs = orbits[(A, B)], orbits[(B, C)], orbits[(A, C)]
         k, l, m = len(fs), len(gs), len(hs)
@@ -595,6 +626,15 @@ def _cyclic_hom_sets(w: _FiniteWorld):
             for j, y in enumerate(gs, 1):
                 if w.laws.compose(y, x) != hs[(i * j * c - 1) % m]:
                     return {"f": x.literal, "g": y.literal, "law": "composition table"}
+        composites.setdefault((A, B), []).append(c)
+    sizes = {A: [len(w.hom[(A, D)]) for D in w.objects] for A in w.objects}
+    for (A, B), ab in composites.items():
+        for C, abc in zip(w.objects, ab):
+            for D, acd, bcd, abd, size in zip(w.objects, composites[(A, C)],
+                                              composites[(B, C)], ab, sizes[A]):
+                if (abc * acd - bcd * abd) % size:
+                    return {"f": w.base[(A, B)].literal, "g": w.base[(B, C)].literal,
+                            "h": w.base[(C, D)].literal, "law": "associativity"}
     return None
 
 
@@ -622,18 +662,15 @@ def _additive_tables(w: _FiniteWorld):
 def _compose_associative(w):
     """h (g f) = (h g) f over every composable triple.
 
-    On generators: given P1, composition lands in the enumerated hom-sets
-    and is additive in each argument, so f, g, h -> h (g f) and f, g, h ->
-    (h g) f are both tri-additive Hom(A, B) x Hom(B, C) x Hom(C, D) ->
-    Hom(A, D). Each f is some x_i with x_(i+1) = x_i + b, so either side at
-    x_(i+1) is its value at x_i plus its value at b: a tri-additive map is
-    fixed by its value on the three bases, and one base triple per quadruple
-    of objects (A, B, C, D) settles the law.
+    On generators: P1 alone settles it. Its composition tables give
+    h (g f) = u_(ijp c_ABC c_ACD) and (h g) f = u_(ijp c_BCD c_ABD) for
+    f = x_i, g = y_j and h = w_p, and its cocycle test compares the two
+    exponents at i = j = p = 1 for every quadruple of objects.
     """
-    if w.certifies(_compose_associative):
+    if w.certifies():
         return None
     laws = w.laws
-    for f, g, h in w.chains(3, additive=True):
+    for f, g, h in w.chains(3):
         if laws.compose(h, laws.compose(g, f)) != laws.compose(laws.compose(h, g), f):
             return {"f": f.literal, "g": g.literal, "h": h.literal}
     return None
@@ -1163,11 +1200,11 @@ def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
     object C it has fewer maps in or out than there are cones there:
     |hom(C, P)| < |hom(C, A)| |hom(C, B)| or |hom(P, C)| < |hom(A, C)|
     |hom(B, C)|. This is the pigeonhole principle, not a heuristic. The maps
-    of one hom-set have distinct canonical multipliers, so distinct cones
-    have distinct keys in ``_universal``'s count; with fewer maps than cones
-    some cone is hit no time, and ``_universal`` rejects every product (or
-    every coproduct) with apex P, whatever ``compose`` returns. A skipped P
-    adds nothing to the list the unbounded loop builds.
+    of one hom-set have distinct residues, so distinct cones have distinct
+    residue tuples, the keys of ``_universal``'s count; with fewer maps than
+    cones some cone is hit no time, and ``_universal`` rejects every product
+    (or every coproduct) with apex P, whatever ``compose`` returns. A skipped
+    P adds nothing to the list the unbounded loop builds.
     """
     found = []
     for P in w.objects:

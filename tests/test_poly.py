@@ -114,6 +114,13 @@ def same(p: Poly, ref: RefPoly) -> bool:
             and all(type(c) is Q for c in p.coeffs) and p.coeffs == ref.coeffs)
 
 
+@pytest.mark.parametrize("value", [3, -2, 0, True, Q(-2, 3), "3/4", 0.5])
+def test_const_reads_ints_and_whatever_fraction_reads(value):
+    c = Poly.const(value)
+    assert c == Poly((value,)) == Poly.from_pairs([(Q(value).numerator, Q(value).denominator)])
+    assert c.coeffs == ((Q(value),) if value else ())
+
+
 def test_invariant_examples():
     p = Poly((Q(1, 2), Q(-3, 4), Q(-5, 6)))
     assert p._ic == (-6, 9, 10) and (p._cn, p._cd) == (-1, 12)

@@ -1,6 +1,7 @@
 """Start-up: importing the package or running a cheap CLI command loads
-neither the verifier nor dataclasses (and with it inspect); the verifier's
-names are still re-exported from the package, loaded on first access."""
+neither the verifier nor dataclasses (and with it inspect) nor fractions
+(and with it decimal); the verifier's names are still re-exported from the
+package, loaded on first access."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import idealcat
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("idealcat.verifier", "dataclasses", "inspect")
+HEAVY = ("idealcat.verifier", "dataclasses", "inspect", "fractions")
 VERIFIER_NAMES = ("Bounds", "CheckResult", "LawTable", "Report", "STANDARD_LAWS",
                   "audit_existence", "brute_force_hom_set", "check_axioms", "law_mutations",
                   "morphism_table", "search_biproduct", "search_cokernel", "verify_ring")
@@ -42,6 +43,16 @@ def test_a_cheap_command_imports_no_heavy_module():
                 if line.startswith("import time:") and line.count("|") == 2}
     assert "idealcat.cli" in imported or "idealcat" in imported
     assert imported.isdisjoint(HEAVY)
+
+
+def test_qpoly_values_from_ints_need_no_fractions_until_one_is_read():
+    code = ("import sys; from idealcat.poly import Poly; "
+            "from idealcat.rings import RATIONAL_POLYNOMIALS as R; "
+            "p = R.mul(R.coerce(3), Poly((1, -2, 5))); print('fractions' in sys.modules); "
+            "print(p.leading, 'fractions' in sys.modules)")
+    proc = _child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "15", "True"]
 
 
 @pytest.mark.parametrize("argv", [["verify", "--ring", "zmod:4"],

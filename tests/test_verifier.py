@@ -21,6 +21,7 @@ from idealcat.constructions import (
 from idealcat.errors import (
     CokernelDoesNotExist,
     NontrivialIntersection,
+    NotComposable,
     NotIdempotent,
     RingMismatch,
 )
@@ -683,6 +684,36 @@ def test_p1_settles_bilinearity(n):
     assert verifier._compose_bilinear not in w.settled
 
 
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_p1_settles_associativity(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    assert verifier._compose_associative(w) is None
+    assert verifier._compose_associative not in w.settled
+    assert w.settled[verifier._cyclic_hom_sets] is True
+
+
+def _compose_doubled_into_two(g, f):
+    # the composite on <1> -> <1> -> <2> comes out doubled, so the bases compose
+    # to z_2, not z_1, in Hom(<1>, <2>) of order 3: the table (i, j) -> 2ij holds
+    # and 6 * 2 = 3 * 2 = 0 mod 3, but at (<1>, <1>, <1>, <2>) the cocycle reads
+    # c_ABC c_ACD = 1 * 2 against c_BCD c_ABD = 2 * 2 mod 3
+    h = compose(g, f)
+    if (f.dom.generator, f.cod.generator, g.cod.generator) == (1, 1, 2):
+        return hom_add(h, h)
+    return h
+
+
+def test_p1_fails_a_composition_table_that_is_not_associative(monkeypatch):
+    laws = replace(STANDARD_LAWS, compose=_compose_doubled_into_two)
+    triple = {"f": "rho(1;1;1)", "g": "rho(1;1;1)", "h": "rho(1;2;2)"}
+    w = verifier._FiniteWorld(Z6, laws)
+    assert verifier._cyclic_hom_sets(w) == {**triple, "law": "associativity"}
+    report = check_axioms(Z6, laws=laws).to_json()
+    assert {c["name"]: c["witness"] for c in report["checks"]}["compose-associative"] == triple
+    monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
+    assert check_axioms(Z6, laws=laws).to_json() == report
+
+
 def _compose_not_well_defined(g, f):
     # on <1> -> <3> -> <1>, with i = 1 for rho(1;3;3) and 2 for rho(1;0;3) and
     # j = 1 for rho(3;1;1) and 2 for rho(3;0;1), the composite has multiplier
@@ -974,6 +1005,38 @@ def _kernel_leg_into_the_ring(f):
 def test_non_composable_kernel_legs_fail_kernel_universal_with_compose_error(planted, error):
     report = check_axioms(ModularRing(12), laws=replace(STANDARD_LAWS, kernel=planted))
     assert {c.name: c.witness for c in report.checks}["kernel-universal"] == {"error": error}
+
+
+@pytest.mark.parametrize("limit", [True, False], ids=["limit", "colimit"])
+def test_a_leg_that_misses_the_apex_raises_the_residue_text(limit):
+    w = verifier._FiniteWorld(Z6, STANDARD_LAWS)
+    apex, other = ideal_new(Z6, [2]), ideal_new(Z6, [3])
+    h = w.hom[(w.objects[0], apex) if limit else (apex, w.objects[0])][0]
+    # a limit leg must leave the apex, a colimit leg must enter it
+    leg = w.hom[(other, apex) if limit else (apex, other)][-1]
+    with pytest.raises(NotComposable) as residue:
+        verifier._residue(leg, h) if limit else verifier._residue(h, leg)
+    with pytest.raises(NotComposable) as universal:
+        verifier._universal(w, apex, (leg,), limit)
+    assert str(universal.value) == str(residue.value)
+    assert str(residue.value) == ("cod <2> of f differs from dom <3> of g" if limit
+                                  else "cod <3> of f differs from dom <2> of g")
+
+
+def _cancellable_by_compose(w, f, left):
+    """Literal cancellation on the Morphisms that compose builds."""
+    for X in w.objects:
+        gs = w.hom[(X, f.dom)] if left else w.hom[(f.cod, X)]
+        if len({compose(f, g) if left else compose(g, f) for g in gs}) != len(gs):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(2, 37))
+def test_cancellation_on_residue_columns_matches_composing(n):
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    for f, left in product(w.morphisms, (True, False)):
+        assert w.cancellable(f, left) == _cancellable_by_compose(w, f, left), (f, left)
 
 
 def _world_answers(w):
