@@ -7,8 +7,10 @@ inclusion refusals), 3 verification failure (any fail entry in a report).
 Listings are bounded: ``homs`` over Z_n refuses a hom-set of more than
 ``ideals.MAX_HOM_LISTING`` morphisms, ``objects``, ``poset`` and ``verify``
 refuse Z_n with n above ``rings.MAX_OBJECT_MODULUS`` (10^12), as the ring's
-``ideal_generators`` does for any caller, and ``oracle`` refuses a modulus
-above ``ORACLE_MAX_MODULUS``; each with ListingTooLarge, exit 1.
+``ideal_generators`` does for any caller, ``verify`` refuses a Z_n of more
+than ``ideals.MAX_VERIFY_CASES`` composition cases, as ``verify_ring``
+does, and ``oracle`` refuses a modulus above ``ORACLE_MAX_MODULUS``; each
+with ListingTooLarge, exit 1.
 """
 
 from __future__ import annotations

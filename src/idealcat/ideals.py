@@ -56,6 +56,13 @@ MODES = (FULL, PAPER)
 # about 0.5 s and 130 MB (CPython 3.11).
 MAX_HOM_LISTING = 100_000
 
+# The most composition cases an exhaustive verify over Z_n may take, the
+# Sum_B (Sum_A |Hom(A, B)|)^2 calls of the verifier's composition table; a
+# larger ring is refused with ListingTooLarge before any hom-set is listed.
+# zmod:720 has the largest count of any n <= 720, 16,534,680, and takes
+# about 70 s for every check (CPython 3.11); zmod:840 has 22,358,400.
+MAX_VERIFY_CASES = 2 * 10**7
+
 
 class _Value:
     """An immutable value: __init__ fills each slot once, and then setting or

@@ -372,9 +372,10 @@ def combination_witness(ring: Ring, gens) -> list:
     integer lifts together with the modulus, then reduced.
     """
     gens = [ring.coerce(g) for g in gens]
-    if isinstance(ring, ModularRing):
-        lifted = _fold_witness(INTEGERS, gens + [ring.modulus])
-        return [c % ring.modulus for c in lifted[:-1]]
+    n = ring.characteristic
+    if n:
+        lifted = _fold_witness(INTEGERS, gens + [n])
+        return [c % n for c in lifted[:-1]]
     return _fold_witness(ring, gens)
 
 

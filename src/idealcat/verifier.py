@@ -23,37 +23,38 @@ is x_(k-i)), and ``laws.compose`` sends (x_i, y_j) to z_(ijc mod m) for
 one c with k c = l c = 0 mod m, and these c satisfy c_ABC c_ACD = c_BCD
 c_ABD mod |Hom(A, D)| for every quadruple of objects. P1 alone is the group
 law, bilinearity and, by that cocycle test, associativity. The two
-pointwise laws rest also on P3: each enumerated f: <a> -> B sends a into
-B and is additive along a, f(x + a) = f(x) + f(a) for every x, so
-f(k a) = k f(a). Then both sides of add-pointwise are additive
-in x and in the partner, and both sides of compose-pointwise in f, in g and
-in x, so x = a and the bases settle them. If a premise fails, a law fails
-on the generator cases or anything raises, the law runs its full loop over
-every case, so a report, passing or failing, is the one the full loops
-give. The argument assumes, as every check does, that the laws and
-``apply`` are deterministic functions of morphism values.
+pointwise laws, and the equality of maps with their function tables, rest
+also on the brute-force oracle, which rebuilds hom-sets as raw linear
+function tables from first principles, independent of the Morphism
+machinery, by one linear test per table (``_table_is_linear``). When every
+enumerated hom-set lists exactly its tables, each enumerated f: <a> -> B
+sends a into B and f(k a) = k f(a), and no two enumerated maps share a
+table. Then both sides of add-pointwise are additive in x and in the
+partner, and both sides of compose-pointwise in f, in g and in x, so x = a
+and the bases settle them. If a premise fails, a law fails on the
+generator cases or anything raises, the law runs its full loop over every
+case, so a report, passing or failing, is the one the full loops give. The
+argument assumes, as every check does, that the laws and ``apply`` are
+deterministic functions of morphism values.
 
-The brute-force oracle rebuilds hom-sets as raw linear function tables
-from first principles, independent of the Morphism machinery, by one
-linear test per table (``_table_is_linear``). Over Z_n
-every universal property is one cone test, ``_universal``, the zero object
-on the empty diagram included. The cokernel and the biproduct property are
-each one predicate, ``_is_cokernel`` and ``_is_biproduct``, for the axiom
-checks, the searches and the existence audits alike. The audits put each
-construction a rule returns through it (a miss is a failure) and search
-Z_n exhaustively only where the rule refuses: a construction the search
-certifies there is a ``discrepancy`` with a machine-checkable witness and
-does not fail the suite. Both searches first count hom-sets. A biproduct
-apex with fewer maps into it (or out of it) at some object than there are
-cones there cannot be universal, by pigeonhole, so no legs are tried on it.
-A cokernel apex E of f needs as many maps E -> C as there are maps cod f
--> C that kill f, at each C; unlike the pigeonhole bound this rests on
-laws of the standard composition (see ``_search_cokernel``). The world
-computes the composites it takes itself (cone counts, cancellation,
-idempotents, right divisors, killers) as residues, ``_residue``, with no
-Fraction or Morphism built, and keeps the residues of every hom-set in a
-column per object, which the cone tests and cancellation read; the laws the
-checks test still go through ``w.laws``.
+Over Z_n every universal property is one cone test, ``_universal``, the
+zero object on the empty diagram included. The cokernel and the biproduct
+property are each one predicate, ``_is_cokernel`` and ``_is_biproduct``,
+for the axiom checks, the searches and the existence audits alike. The
+audits put each construction a rule returns through it (a miss is a
+failure) and search Z_n exhaustively only where the rule refuses: a
+construction the search certifies there is a ``discrepancy`` with a
+machine-checkable witness and does not fail the suite. Both searches first
+count hom-sets. A biproduct apex with fewer maps into it (or out of it) at
+some object than there are cones there cannot be universal, by pigeonhole,
+so no legs are tried on it. A cokernel apex E of f needs as many maps E ->
+C as there are maps cod f -> C that kill f, at each C; unlike the
+pigeonhole bound this rests on laws of the standard composition (see
+``_search_cokernel``). The world computes the composites it takes itself
+(cone counts, cancellation, idempotents, right divisors, killers) as
+residues, ``_residue``, with no Fraction or Morphism built, and keeps the
+residues of every hom-set in a column per object, which the cone tests and
+cancellation read; the laws the checks test still go through ``w.laws``.
 
 ``verify_ring`` builds one world and hands it to ``check_axioms`` and
 ``audit_existence``. Sharing it is exact: the audits never read
@@ -74,6 +75,7 @@ only idempotents are 0 and 1, and on those the defect agrees with the rule.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from copy import copy
@@ -101,6 +103,7 @@ from .errors import (
     CokernelDoesNotExist,
     HomMismatch,
     InvalidMultiplier,
+    ListingTooLarge,
     NontrivialIntersection,
     NotComposable,
     NotIdempotent,
@@ -109,6 +112,7 @@ from .errors import (
 from .fracfield import Fraction
 from .ideals import (
     FULL,
+    MAX_VERIFY_CASES,
     Ideal,
     Morphism,
     _check_mode,
@@ -169,6 +173,15 @@ class CheckResult:
 def _verdict(name: str, witness: dict | None) -> CheckResult:
     """A pass, or a fail with its witness."""
     return CheckResult(name, "pass" if witness is None else "fail", witness)
+
+
+def _witness(law: Callable, world) -> dict | None:
+    """law(world), or the witness of what it raises: mutated laws may raise
+    anywhere mid-check."""
+    try:
+        return law(world)
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 @dataclass
@@ -270,6 +283,31 @@ def _require_finite(ring: Ring) -> Ring:
     return ring
 
 
+def _composition_cases(ring: Ring) -> int:
+    """The cases of P1's composition table over Z_n, Sum_B (Sum_A
+    |Hom(A, B)|)^2, from the divisors alone: <a> is Z_(n/a), and
+    |Hom(Z_k, Z_l)| = gcd(k, l). The sum stops once it passes
+    MAX_VERIFY_CASES; <1>, the second object, alone adds sigma(n)^2."""
+    n = ring.characteristic
+    orders = [n // a if a else 1 for a in ring.ideal_generators()]
+    cases = 0
+    for l in orders:
+        cases += sum(math.gcd(k, l) for k in orders) ** 2
+        if cases > MAX_VERIFY_CASES:
+            break
+    return cases
+
+
+def _within_budget(ring: Ring) -> Ring:
+    """The ring, if an exhaustive verify of it takes at most
+    MAX_VERIFY_CASES composition cases; ListingTooLarge otherwise."""
+    cases = _composition_cases(ring)
+    if cases > MAX_VERIFY_CASES:
+        raise ListingTooLarge(f"verifying {ring.literal} takes at least {cases} composition "
+                              f"cases, above the limit {MAX_VERIFY_CASES}")
+    return ring
+
+
 def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     """All Z_n-linear function tables A -> B: for each y in B the table
     k*a -> k*y, k in range(n/a), kept when ``_table_is_linear`` passes.
@@ -342,24 +380,22 @@ class _FiniteWorld:
                        for X in self.objects}
         self.elements = {A: ideal_elements(A) for A in self.objects}
         self.members = {key: frozenset(homset) for key, homset in self.hom.items()}
-        self.settled: dict[Callable, bool] = {}
+        self.settled: dict[Callable, dict | None] = {}
         self.biproduct_verdicts: dict[tuple, bool] = {}
 
     def certifies(self, *laws: Callable) -> bool:
         """Whether P1 and then each premise or law pass on the generator
-        copy. Each runs once per world, and one that raises does not certify.
-        The copy itself certifies nothing, so there every law runs its loop."""
+        copy. Each runs once per world, and ``settled`` keeps its witness
+        (``_witness``). The copy itself certifies nothing, so there every law
+        runs its loop."""
         if self.on_bases:
             return False
         generators = copy(self)
         generators.on_bases = True
         for law in (_cyclic_hom_sets, *laws):
             if law not in self.settled:
-                try:
-                    self.settled[law] = law(generators) is None
-                except Exception:
-                    self.settled[law] = False
-            if not self.settled[law]:
+                self.settled[law] = _witness(law, generators)
+            if self.settled[law] is not None:
                 return False
         return True
 
@@ -396,9 +432,10 @@ class _FiniteWorld:
         """Whether f is in its enumerated hom-set."""
         return f in self.members[(f.dom, f.cod)]
 
-    def expected_kernel(self, f: Morphism) -> Ideal:
-        """The ideal generated by the zero set of f."""
-        return ideal_new(self.ring, [x for x in self.elements[f.dom] if apply(f, x) == 0])
+    def expected_kernel(self, f: Morphism):
+        """The ideal the zero set of f generates, and (x, f(x) = 0) for each x."""
+        zeros = [(x, self.ring.is_zero(apply(f, x))) for x in self.elements[f.dom]]
+        return ideal_new(self.ring, [x for x, zero in zeros if zero]), zeros
 
     def cancellable(self, f: Morphism, left: bool) -> bool:
         """Literal cancellation: g -> f g (left) or g -> g f (right) is
@@ -507,14 +544,17 @@ class _SampledWorld:
                    ideal_new(ring, [c]))
 
     def points(self, A: Ideal):
-        return (self.ring.mul(self.ring.coerce(self.random_element()), A.generator),)
+        """One drawn multiple of the generator, drawn when read."""
+        yield self.ring.mul(self.ring.coerce(self.random_element()), A.generator)
 
     def member(self, f: Morphism) -> bool:
         return True  # drawn as a multiple of its hom-set's base
 
-    def expected_kernel(self, f: Morphism) -> Ideal:
-        """Over a domain a nonzero multiplication map is injective."""
-        return f.dom if f.multiplier.is_zero else zero_object(self.ring)
+    def expected_kernel(self, f: Morphism):
+        """Over a domain a nonzero multiplication map is injective; f(x) = 0
+        is tested at a point drawn when the test is read."""
+        zeros = ((x, self.ring.is_zero(apply(f, x))) for x in self.points(f.dom))
+        return (f.dom if f.multiplier.is_zero else zero_object(self.ring)), zeros
 
     def cancellable(self, f: Morphism, left: bool) -> bool:
         return True  # needs whole hom-sets; mono-/epi-criterion sample it instead
@@ -575,7 +615,7 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
 
 
 # ---------------------------------------------------------------------------
-# the premises of the generator cases: certifies runs P1 first, P3 where asked
+# the premises of the generator cases: certifies runs P1, then the oracle where asked
 
 
 def _cyclic_hom_sets(w: _FiniteWorld):
@@ -638,20 +678,20 @@ def _cyclic_hom_sets(w: _FiniteWorld):
     return None
 
 
-def _additive_tables(w: _FiniteWorld):
-    """P3: each enumerated f: <a> -> B sends a into B and is additive along
-    a, f(x + a) = f(x) + f(a) for every x in <a>. The elements of <a> are 0,
-    a, a + a, ..., so by induction f(0) = 0 and f(k a) = k f(a): f is
-    additive on <a> and maps it into B."""
-    ring = w.ring
-    for f in w.morphisms:
-        a = f.dom.generator
-        fa = apply(f, a)
-        if not contains_element(f.cod, fa):
-            return {"f": f.literal, "law": "generator lands in the codomain"}
-        for x in w.elements[f.dom]:
-            if apply(f, ring.add(x, a)) != ring.add(apply(f, x), fa):
-                return {"f": f.literal, "x": ring.format_element(x), "law": "additive along a"}
+def _fin_hom_oracle(w: _FiniteWorld):
+    """The maps of each hom-set A -> B have exactly the tables of
+    ``brute_force_hom_set``, each k a -> k y for its own y in B and linear:
+    so every enumerated f sends a into B, f(k a) = k f(a), and no two share
+    a table. It reads no case source, so its witness as a premise is the
+    check's too: the check reads it from ``settled`` when the premise ran."""
+    if _fin_hom_oracle in w.settled:
+        return w.settled[_fin_hom_oracle]
+    for (A, B), homset in w.hom.items():
+        ours = sorted(morphism_table(f) for f in homset)
+        brute = sorted(brute_force_hom_set(A, B))
+        if ours != brute:
+            return {"hom": f"{A.literal}->{B.literal}", "enumerated": len(ours),
+                    "brute_force": len(brute)}
     return None
 
 
@@ -744,15 +784,15 @@ def _compose_bilinear(w):
 def _compose_pointwise(w):
     """(g f)(x) = g(f(x)) for every composable pair and every x in dom f.
 
-    On generators: given P1, P3 and add-pointwise, both sides are additive
-    in x: g f is enumerated (P1), so P3 covers it, and f(x) lies in dom g,
-    on which g is additive. At x = a, the generator, both are additive in
-    f, by bilinearity (P1) and add-pointwise on the left and add-pointwise
-    and P3 for g on the right, and in g, by bilinearity and add-pointwise
-    on both sides. So, as for associativity, one base pair per triple of
-    objects, at the generator, settles the law.
+    On generators: given P1, the oracle and add-pointwise, both sides are
+    additive in x: g f is enumerated (P1), so the oracle covers it, and f(x)
+    lies in dom g, on which g is additive. At x = a, the generator, both are
+    additive in f, by bilinearity (P1) and add-pointwise on the left and
+    add-pointwise and the oracle for g on the right, and in g, by
+    bilinearity and add-pointwise on both sides. So, as for associativity,
+    one base pair per triple of objects, at the generator, settles the law.
     """
-    if w.certifies(_additive_tables, _add_pointwise, _compose_pointwise):
+    if w.certifies(_fin_hom_oracle, _add_pointwise, _compose_pointwise):
         return None
     for f, g in w.chains(2, additive=True):
         gf = w.laws.compose(g, f)
@@ -765,14 +805,14 @@ def _compose_pointwise(w):
 def _add_pointwise(w):
     """(f + g)(x) = f(x) + g(x) for every parallel pair and every x.
 
-    On generators: P1 puts f + g in the enumerated hom-set, so by P3 both
-    sides are additive in x, and x = a, the generator, settles each pair.
+    On generators: P1 puts f + g in its enumerated hom-set, so by the oracle
+    both sides are additive in x, and x = a, the generator, settles each pair.
     The partner g = b, the base, gives every g = x_j by induction on j, as
     (f + x_(j+1))(a) = ((f + x_j) + b)(a) = (f + x_j)(a) + b(a)
     = f(a) + x_j(a) + b(a) = f(a) + x_(j+1)(a), the last step the case
     f = x_j.
     """
-    if w.certifies(_additive_tables, _add_pointwise):
+    if w.certifies(_fin_hom_oracle, _add_pointwise):
         return None
     for (f,) in w.chains(1):
         for g in w.partners(f):
@@ -786,15 +826,15 @@ def _add_pointwise(w):
 def _kernel_zero_set(w):
     for (f,) in w.chains(1):
         K, j = w.laws.kernel(f)
-        expected = w.expected_kernel(f)
+        expected, zeros = w.expected_kernel(f)
         if K != expected:
             return {"f": f.literal, "kernel": K.literal, "expected": expected.literal}
         if j.dom != K or j.cod != f.dom or not is_inclusion(j):
             return {"f": f.literal, "law": "kernel inclusion shape"}
         if compose(f, j) != zero_morphism(K, f.cod):
             return {"f": f.literal, "law": "f after inclusion is zero"}
-        for x in w.points(f.dom):
-            if w.ring.is_zero(apply(f, x)) != contains_element(K, x):
+        for x, zero in zeros:
+            if zero != contains_element(K, x):
                 return {"f": f.literal, "x": w.ring.format_element(x)}
     return None
 
@@ -896,25 +936,15 @@ def _fin_zero_object(w: _FiniteWorld):
 
 
 def _fin_equality_pointwise(w: _FiniteWorld):
+    """Distinct maps have distinct tables; given the oracle, the loop is skipped."""
+    if w.certifies(_fin_hom_oracle):
+        return None
     for (A, B), homset in w.hom.items():
         tables = {morphism_table(f) for f in homset}
         if len(tables) != len(homset):
             return {
                 "hom": f"{A.literal}->{B.literal}",
                 "law": "distinct canonical morphisms share a function table",
-            }
-    return None
-
-
-def _fin_hom_oracle(w: _FiniteWorld):
-    for (A, B), homset in w.hom.items():
-        ours = sorted(morphism_table(f) for f in homset)
-        brute = sorted(brute_force_hom_set(A, B))
-        if ours != brute:
-            return {
-                "hom": f"{A.literal}->{B.literal}",
-                "enumerated": len(ours),
-                "brute_force": len(brute),
             }
     return None
 
@@ -1121,24 +1151,21 @@ def check_axioms(
     """Run every axiom check for one ring; failures become report entries.
     An unknown mode is a usage error: ValueError, before any check runs.
     Over Z_n the checks run on ``world`` when given, a ``_FiniteWorld`` of
-    this ring built with these laws, so verify_ring can share it."""
+    this ring built with these laws, so verify_ring can share it; a world
+    of more than MAX_VERIFY_CASES composition cases is refused before it is
+    built, with ListingTooLarge."""
     _check_mode(mode)
     bounds = bounds or Bounds()
     laws = laws or STANDARD_LAWS
     exhaustive = ring.characteristic > 0
     if world is None:
-        world = (_FiniteWorld(ring, laws) if exhaustive
+        world = (_FiniteWorld(_within_budget(ring), laws) if exhaustive
                  else _SampledWorld(ring, bounds, mode, laws))
     report = Report(ring)
     for name, finite_law, sampled_law in _CHECKS:
         fn = finite_law if exhaustive else sampled_law
-        if fn is None:
-            continue
-        try:
-            witness = fn(world)
-        except Exception as exc:  # mutated laws may raise anywhere mid-check
-            witness = {"error": f"{type(exc).__name__}: {exc}"}
-        report.checks.append(_verdict(name, witness))
+        if fn is not None:
+            report.checks.append(_verdict(name, _witness(fn, world)))
     return report
 
 
@@ -1294,10 +1321,11 @@ def verify_ring(
     laws: LawTable | None = None,
 ) -> Report:
     """check_axioms plus, for Z_n within the search ceiling, the audits, all
-    on one world."""
+    on one world, refused as check_axioms refuses it before it is built."""
     _check_mode(mode)  # a usage error before the world is built
     bounds = bounds or Bounds()
-    world = _FiniteWorld(ring, laws or STANDARD_LAWS) if ring.characteristic else None
+    world = (_FiniteWorld(_within_budget(ring), laws or STANDARD_LAWS)
+             if ring.characteristic else None)
     report = check_axioms(ring, bounds, mode, laws, world=world)
     if 0 < ring.characteristic <= bounds.search_ceiling:
         report.checks.extend(audit_existence(ring, world=world))

@@ -25,7 +25,14 @@ from idealcat.formats import (
     parse_ideal,
     parse_morphism,
 )
-from idealcat.ideals import apply, enumerate_hom, enumerate_objects, ideal_new, morphism_new
+from idealcat.ideals import (
+    MAX_VERIFY_CASES,
+    apply,
+    enumerate_hom,
+    enumerate_objects,
+    ideal_new,
+    morphism_new,
+)
 from idealcat.rings import INTEGERS, RATIONAL_POLYNOMIALS, ModularRing, ring_from_literal
 
 Z6 = ModularRing(6)
@@ -301,6 +308,15 @@ def test_moduli_above_the_object_limit_are_refused_at_once(command, n):
     proc = _cli_child(command, "--ring", f"zmod:{n}", timeout=10)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert f"above the limit {10**12} for listing its ideals" in proc.stderr
+
+
+@pytest.mark.parametrize("n", [5040, 99991])
+def test_verify_of_a_ring_above_the_case_limit_is_refused_at_once(n):
+    # both once ran past a 15 s timeout with no output
+    proc = _cli_child("verify", "--ring", f"zmod:{n}", timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert f"above the limit {MAX_VERIFY_CASES}" in proc.stderr
 
 
 def test_poset_of_a_modulus_with_1344_ideals_is_answered_at_once():

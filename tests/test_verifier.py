@@ -20,6 +20,7 @@ from idealcat.constructions import (
 )
 from idealcat.errors import (
     CokernelDoesNotExist,
+    ListingTooLarge,
     NontrivialIntersection,
     NotComposable,
     NotIdempotent,
@@ -29,6 +30,7 @@ from idealcat.formats import parse_ideal, parse_morphism
 from idealcat.fracfield import Fraction
 from idealcat.ideals import (
     FULL,
+    MAX_VERIFY_CASES,
     PAPER,
     HomSet,
     Morphism,
@@ -36,12 +38,15 @@ from idealcat.ideals import (
     all_morphisms,
     apply,
     compose,
+    contains_element,
     enumerate_hom,
     enumerate_objects,
     hom_add,
+    hom_neg,
     ideal_elements,
     ideal_new,
     identity,
+    image,
     intersect,
     morphism_new,
     zero_morphism,
@@ -361,6 +366,15 @@ def test_defects_off_the_generators_get_the_full_loop_witnesses(n, name):
     assert _sha256(report) == LOCAL_MUTANT_REPORT_SHA256[(n, name)]
 
 
+def test_the_sampled_kernel_check_draws_its_point_only_where_it_compares():
+    # recorded when the check drew its point in its own loop: where it stops
+    # before that loop, no point is drawn, and the checks after it see the
+    # draws they saw then; a draw made earlier changes kernel-universal here
+    laws = replace(STANDARD_LAWS, kernel=_doubled_inclusion)
+    report = verify_ring(RATIONAL_POLYNOMIALS, Bounds(seed=0, samples=25), FULL, laws)
+    assert _sha256(report) == "92a25d8276c20bd381c5bbacc250f61afe3cd7bf7d629c933b9b8fbf8e219f38"
+
+
 def _counting_laws(calls: Counter, *names: str):
     """STANDARD_LAWS with each named law counting its calls in ``calls``."""
     def counted(name):
@@ -440,6 +454,16 @@ def _listing_a_nonzero_map(into_zero: bool):
     return listing
 
 
+def _add_off_its_residue(f, g):
+    """hom_add whose nonzero sums of two nonzero maps are off their residue,
+    so outside the hom-set where the domain is not <1>; zero stays neutral
+    on both sides."""
+    if f.is_zero or g.is_zero:
+        return g if f.is_zero else f
+    h = hom_add(f, g)
+    return h if h.is_zero else _off_its_residue(h)
+
+
 def _dropping_the_last_map_of_hom_1_1(A, B, mode=FULL):
     """enumerate_hom that leaves the last of the n maps out of Hom(<1>, <1>)."""
     hs = enumerate_hom(A, B, mode)
@@ -482,6 +506,19 @@ PLANTED_DEFECTS = {
     "no-ideal-a-subideal": ("is_subideal", lambda A, B: False, {"subobject-strict-preorder"}),
     "hom-1-1-missing-a-map": (
         "enumerate_hom", _dropping_the_last_map_of_hom_1_1, {"hom-oracle-agreement"}),
+    "zero-off-its-residue": (
+        "zero_morphism", lambda A, B: _off_its_residue(zero_morphism(A, B)),
+        {"hom-abelian-group"}),
+    "sum-off-its-residue": (
+        "STANDARD_LAWS", replace(STANDARD_LAWS, add=_add_off_its_residue),
+        {"hom-abelian-group"}),
+    "no-map-an-inclusion": (
+        "is_inclusion", lambda f: False,
+        {"factorization-epi-inclusion", "inclusion-axioms", "kernel-zero-set"}),
+    "no-residue-matches": ("_residue", lambda g, f: -1, {"inclusion-axioms"}),
+    "zero-in-no-ideal": (
+        "contains_element", lambda A, x: x != 0 and contains_element(A, x), {"kernel-zero-set"}),
+    "every-residue-one": ("_residue", lambda g, f: 1 % f.dom._modulus, {"inclusion-axioms"}),
 }
 # The witness a planted defect must leave on the check it breaks, or the
 # function of n that gives it.
@@ -506,6 +543,17 @@ PLANTED_WITNESSES = {
     "no-ideal-a-subideal": ("subobject-strict-preorder", {"A": "<0>", "law": "reflexivity"}),
     "hom-1-1-missing-a-map": ("hom-oracle-agreement", lambda n: {
         "hom": "<1>-><1>", "enumerated": n - 1, "brute_force": n}),
+    "zero-off-its-residue": (
+        "hom-abelian-group", {"hom": "<0>-><0>", "law": "zero missing"}),
+    "sum-off-its-residue": (
+        "hom-abelian-group", {"f": "rho(2;1;1)", "g": "rho(2;1;1)", "law": "closure"}),
+    "no-map-an-inclusion": ("factorization-epi-inclusion",
+                            {"f": "rho(0;0;0)", "j": "rho(0;0;0)", "law": "j is an inclusion"}),
+    "zero-in-no-ideal": ("kernel-zero-set", {"f": "rho(0;0;0)", "x": "0"}),
+    "no-residue-matches": ("inclusion-axioms",
+                           {"j1": "rho(0;0;0)", "j2": "rho(0;0;0)", "law": "right division"}),
+    "every-residue-one": ("inclusion-axioms", {
+        "j1": "rho(1;1;1)", "j2": "rho(0;0;1)", "h": "rho(1;0;0)", "law": "right division"}),
 }
 
 
@@ -537,12 +585,41 @@ def _cokernel_of_zero_is_zero(f):
     return CokernelPair(f.cod, zero_morphism(f.cod, f.cod)) if f.is_zero else cokernel(f)
 
 
-def _base_one_out_of_zero(A, B, mode=FULL):
-    """enumerate_hom whose base out of <0> is 1 for every nonzero B."""
-    hs = enumerate_hom(A, B, mode)
-    if not A.is_zero or B.is_zero:
-        return hs
-    return HomSet(A, B, Fraction.one(A.ring), hs.modulus, hs.elements)
+def _unit_base_at_zero(into_zero: bool):
+    """enumerate_hom whose base out of <0> is 1 for every nonzero B, or, with
+    into_zero, whose base from every nonzero B into <0> is."""
+    def listing(A, B, mode=FULL):
+        hs = enumerate_hom(A, B, mode)
+        zero, other = (B, A) if into_zero else (A, B)
+        if not zero.is_zero or other.is_zero:
+            return hs
+        return HomSet(A, B, Fraction.one(A.ring), hs.modulus, hs.elements)
+    return listing
+
+
+def _add_twice_the_second(f, g):
+    """f + 2g, or f + g where g is zero or -f: zero and inverses hold, but
+    the sum is not commutative."""
+    if g.is_zero or g == hom_neg(f):
+        return hom_add(f, g)
+    return hom_add(f, hom_add(g, g))
+
+
+def _morphism_new_unvalidated(dom, cod, multiplier, mode=FULL):
+    """morphism_new that lets any multiplier through, into <0> as well."""
+    return _raw_morphism(dom, cod, multiplier)
+
+
+def _cokernel_of_a_surjection_is_its_codomain(f):
+    if not f.is_zero and image(f) == f.cod:
+        return CokernelPair(f.cod, identity(f.cod))
+    return cokernel(f)
+
+
+def _compose_keeping_the_first_through_zero(g, f):
+    """compose that keeps f's multiplier when g is zero, so that a zero map
+    after f tells f apart."""
+    return _raw_morphism(f.dom, g.cod, f.multiplier) if g.is_zero else compose(g, f)
 
 
 # Defects planted in the verifier's namespace for the sampled worlds over Z and
@@ -553,7 +630,17 @@ SAMPLED_PLANTED_DEFECTS = {
     "every-map-mono": ("is_mono", lambda f: True, "mono-criterion"),
     "every-map-epi": ("is_epi", lambda f: True, "epi-criterion"),
     "unit-base-out-of-zero": (
-        "enumerate_hom", _base_one_out_of_zero, "zero-object-initial-terminal"),
+        "enumerate_hom", _unit_base_at_zero(into_zero=False), "zero-object-initial-terminal"),
+    "unit-base-into-zero": (
+        "enumerate_hom", _unit_base_at_zero(into_zero=True), "zero-object-initial-terminal"),
+    "morphism-new-unvalidated": (
+        "morphism_new", _morphism_new_unvalidated, "zero-object-initial-terminal"),
+    "sum-not-commutative": (
+        "STANDARD_LAWS", replace(STANDARD_LAWS, add=_add_twice_the_second), "hom-abelian-group"),
+    "surjection-keeps-its-codomain": (
+        "cokernel", _cokernel_of_a_surjection_is_its_codomain, "cokernel-rule"),
+    "zero-map-keeps-the-first": (
+        "compose", _compose_keeping_the_first_through_zero, "mono-criterion"),
     "apply-returns-its-argument": ("apply", lambda f, x: x, "morphism-equality-pointwise"),
     "every-ideal-a-subideal": ("is_subideal", lambda A, B: True, "subobject-strict-preorder"),
     "negation-returns-its-argument": ("hom_neg", lambda f: f, "hom-abelian-group"),
@@ -564,6 +651,12 @@ SAMPLED_PLANTED_DEFECTS = {
 SAMPLED_PLANTED_LAWS = {
     "no-ideal-a-subideal": "transitivity",
     "cokernel-of-zero-is-zero": "zero map gets (cod, identity)",
+    "unit-base-out-of-zero": "initial",
+    "unit-base-into-zero": "terminal",
+    "morphism-new-unvalidated": "only the zero map enters the zero ideal",
+    "sum-not-commutative": "commutativity",
+    "surjection-keeps-its-codomain": "surjection gets the zero object",
+    "zero-map-keeps-the-first": "zero map should not cancel",
 }
 
 
@@ -617,12 +710,24 @@ def _apply_off_at_twice_two(f, x):
     return y
 
 
+def _apply_off_at_four_times_two(f, x):
+    # on <2> -> B, 8 goes to f(8) + b; the generator cases apply maps only at
+    # a generator and at the base images f(a), and none of those is 8 in Z_12
+    y = apply(f, x)
+    if f.dom.generator == 2 and x == 8:
+        return (y + f.cod.generator) % f.dom.ring.characteristic
+    return y
+
+
 # Defects that no generator case meets: (attribute and value planted in the
 # verifier's namespace or None, laws, the premise that must fail, the checks
 # that must fail).
 GENERATOR_BLIND_DEFECTS = {
     "apply-off-at-twice-the-generator": (
-        ("apply", _apply_off_at_twice_two), STANDARD_LAWS, verifier._additive_tables,
+        ("apply", _apply_off_at_twice_two), STANDARD_LAWS, verifier._fin_hom_oracle,
+        {"add-pointwise", "compose-pointwise"}),
+    "apply-off-at-four-times-two": (
+        ("apply", _apply_off_at_four_times_two), STANDARD_LAWS, verifier._fin_hom_oracle,
         {"add-pointwise", "compose-pointwise"}),
     "compose-wrong-off-base-pairs": (
         None, LOCAL_MUTANTS["compose-wrong-off-generators"], verifier._cyclic_hom_sets,
@@ -638,7 +743,7 @@ def test_defects_off_the_generators_fail_the_pointwise_laws(monkeypatch, defect)
     ring = ModularRing(12)
     w = verifier._FiniteWorld(ring, laws)
     assert verifier._add_pointwise(w) or verifier._compose_pointwise(w)
-    assert w.settled[premise] is False
+    assert w.settled[premise] is not None
     report = check_axioms(ring, laws=laws).to_json()
     witnesses = {c["name"]: c["witness"] for c in report["checks"] if c["status"] == "fail"}
     assert must_fail <= set(witnesses), sorted(witnesses)
@@ -648,13 +753,15 @@ def test_defects_off_the_generators_fail_the_pointwise_laws(monkeypatch, defect)
 
 
 @pytest.mark.parametrize("n", [6, 12])
-def test_an_apply_that_returns_its_argument_fails_p3(monkeypatch, n):
+def test_an_apply_that_returns_its_argument_fails_the_oracle_premise(monkeypatch, n):
+    # the zero map <1> -> <0> comes out as the identity table, which no y gives
     monkeypatch.setattr(verifier, "apply", lambda f, x: x)
     ring = ModularRing(n)
     w = verifier._FiniteWorld(ring, STANDARD_LAWS)
-    assert verifier._additive_tables(w)["law"] == "generator lands in the codomain"
+    witness = {"hom": "<1>-><0>", "enumerated": 1, "brute_force": 1}
+    assert verifier._fin_hom_oracle(w) == witness
     verifier._add_pointwise(w)
-    assert w.settled[verifier._additive_tables] is False
+    assert w.settled[verifier._fin_hom_oracle] == witness
     report = check_axioms(ring).to_json()
     monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
     assert check_axioms(ring).to_json() == report
@@ -664,23 +771,105 @@ def test_an_apply_that_returns_its_argument_fails_p3(monkeypatch, n):
 def test_pointwise_laws_settle_on_generators(n):
     w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
     assert verifier._compose_pointwise(w) is None and verifier._add_pointwise(w) is None
-    for law in (verifier._additive_tables, verifier._add_pointwise,
+    for law in (verifier._fin_hom_oracle, verifier._add_pointwise,
                 verifier._compose_pointwise):
-        assert w.settled[law] is True, law.__name__
+        assert w.settled[law] is None, law.__name__
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_one_verify_runs_the_oracle_once_per_hom_set(monkeypatch, n):
+    # the pointwise laws run it as their premise, and its check reuses that run
+    calls = Counter()
+
+    def counted(A, B):
+        calls[(A, B)] += 1
+        return brute_force_hom_set(A, B)
+
+    monkeypatch.setattr(verifier, "brute_force_hom_set", counted)
+    assert not verify_ring(ModularRing(n)).failed
+    objects = enumerate_objects(ModularRing(n))
+    assert calls == Counter({(A, B): 1 for A in objects for B in objects})
+
+
+def test_equality_by_function_tables_builds_no_table_of_its_own(monkeypatch):
+    # every table check_axioms builds is the oracle's, one per morphism
+    ring = ModularRing(12)
+    calls = Counter()
+
+    def counted(f):
+        calls[f] += 1
+        return morphism_table(f)
+
+    monkeypatch.setattr(verifier, "morphism_table", counted)
+    assert not check_axioms(ring).failed
+    assert calls == Counter(all_morphisms(ring))
+    w = verifier._FiniteWorld(ring, STANDARD_LAWS)
+    assert w.certifies(verifier._fin_hom_oracle)
+    calls.clear()
+    assert verifier._fin_equality_pointwise(w) is None
+    assert not calls
+
+
+def _apply_doubled_on_one(f, x):
+    # on <1> -> <1> every map is applied twice over: additive, and into <1>,
+    # but n/2 apart maps share a table
+    y = apply(f, x)
+    if f.dom.generator == 1 and f.cod.generator == 1:
+        return 2 * y % f.dom.ring.characteristic
+    return y
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("attribute, planted", [
+    ("enumerate_hom", _dropping_the_last_map_of_hom_1_1),
+    ("apply", _apply_doubled_on_one),
+], ids=["hom-1-1-missing-a-map", "apply-doubled-on-1-1"])
+def test_a_defect_only_the_oracle_sees_gets_the_full_loop_report(monkeypatch, attribute,
+                                                                   planted, n):
+    # each map still sends a into B and is additive along a, so the additivity
+    # premise the oracle replaced would have passed
+    monkeypatch.setattr(verifier, attribute, planted)
+    ring = ModularRing(n)
+    report = verify_ring(ring).to_json()
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses["hom-oracle-agreement"] == "fail"
+    monkeypatch.setattr(verifier._FiniteWorld, "certifies", lambda self, *laws: False)
+    assert verify_ring(ring).to_json() == report
+
+
+def test_the_composition_cases_are_counted_from_the_divisors():
+    for n in [*range(2, 121), 360]:
+        w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+        size = {key: len(homset) for key, homset in w.hom.items()}
+        cases = sum(size[(A, B)] * size[(B, C)] for A, B, C in product(w.objects, repeat=3))
+        assert verifier._composition_cases(ModularRing(n)) == cases, n
+
+
+def test_the_case_limit_admits_720_and_refuses_840():
+    assert verifier._composition_cases(ModularRing(720)) == 16_534_680 <= MAX_VERIFY_CASES
+    assert verifier._composition_cases(ModularRing(840)) > MAX_VERIFY_CASES
+
+
+@pytest.mark.parametrize("n", [5040, 99991])
+def test_verify_ring_refuses_a_ring_above_the_case_limit(n):
+    # both ran on with no output; P1 alone takes about 10^9 and 10^10 compositions
+    for verify in (verify_ring, check_axioms):
+        with pytest.raises(ListingTooLarge, match=f"above the limit {MAX_VERIFY_CASES}$"):
+            verify(ModularRing(n))
 
 
 @pytest.mark.parametrize("n", [6, 12, 24])
 def test_p1_settles_the_hom_group_law(n):
     w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
     assert verifier._hom_abelian(w) is None
-    assert w.settled[verifier._cyclic_hom_sets] is True
+    assert w.settled[verifier._cyclic_hom_sets] is None
 
 
 @pytest.mark.parametrize("n", [6, 12, 24])
 def test_p1_settles_bilinearity(n):
     w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
     assert verifier._compose_bilinear(w) is None
-    assert w.settled[verifier._cyclic_hom_sets] is True
+    assert w.settled[verifier._cyclic_hom_sets] is None
     assert verifier._compose_bilinear not in w.settled
 
 
@@ -689,7 +878,7 @@ def test_p1_settles_associativity(n):
     w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
     assert verifier._compose_associative(w) is None
     assert verifier._compose_associative not in w.settled
-    assert w.settled[verifier._cyclic_hom_sets] is True
+    assert w.settled[verifier._cyclic_hom_sets] is None
 
 
 def _compose_doubled_into_two(g, f):
@@ -756,7 +945,7 @@ def test_group_law_defects_fail_p1_and_get_the_full_loop_report(monkeypatch, def
     ring = ModularRing(n)
     w = verifier._FiniteWorld(ring, STANDARD_LAWS)
     assert verifier._hom_abelian(w)
-    assert w.settled[verifier._cyclic_hom_sets] is False
+    assert w.settled[verifier._cyclic_hom_sets] is not None
     report = check_axioms(ring).to_json()
     witnesses = {c["name"]: c["witness"] for c in report["checks"] if c["status"] == "fail"}
     assert "hom-abelian-group" in witnesses, sorted(witnesses)
