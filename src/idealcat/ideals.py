@@ -14,9 +14,9 @@ equality of the underlying functions:
 Over Z_n every morphism operation is a few integer operations. Each Ideal
 computes n/a once, as ``_modulus`` (1 for <0>), and keeps its hash after
 the first. A multiplier that is already a residue in [0, n/a) is kept as
-it is, so compose and hom_add allocate the Fraction product or sum, a
-second Fraction only when that must be reduced, and the Morphism; hom_neg
-builds the residue -k modulo n/a as one Fraction.
+it is, so compose, hom_add and hom_neg allocate the Fraction product, sum
+or negation, a second Fraction only when that must be reduced, and the
+Morphism: ``_raw_morphism`` is the one place a multiplier is reduced mod n/a.
 ``apply`` tests membership as x % a and returns x * k % n. The dom/cod
 checks of compose and hom_add, and the ring checks of Fraction arithmetic,
 test identity before they call an equality method.
@@ -314,9 +314,6 @@ def hom_add(f: Morphism, g: Morphism) -> Morphism:
 
 
 def hom_neg(f: Morphism) -> Morphism:
-    m = f.dom._modulus
-    if m:  # Z_n: the residue -k modulo n/a, one Fraction
-        return Morphism(f.dom, f.cod, Fraction(f.dom.ring, -f.multiplier.num % m, 1))
     return _raw_morphism(f.dom, f.cod, -f.multiplier)
 
 

@@ -56,6 +56,10 @@ residues, ``_residue``, with no Fraction or Morphism built, and keeps the
 residues of every hom-set in a column per object, which the cone tests and
 cancellation read; the laws the checks test still go through ``w.laws``.
 
+Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
+a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
+anything: the checks, both searches and the audits are bounded by that one
+count. ``brute_force_hom_set`` builds no world and stays unbounded.
 ``verify_ring`` builds one world and hands it to ``check_axioms`` and
 ``audit_existence``. Sharing it is exact: the audits never read
 ``w.laws``, only residues and the standard ``cokernel`` and ``biproduct``.
@@ -298,16 +302,6 @@ def _composition_cases(ring: Ring) -> int:
     return cases
 
 
-def _within_budget(ring: Ring) -> Ring:
-    """The ring, if an exhaustive verify of it takes at most
-    MAX_VERIFY_CASES composition cases; ListingTooLarge otherwise."""
-    cases = _composition_cases(ring)
-    if cases > MAX_VERIFY_CASES:
-        raise ListingTooLarge(f"verifying {ring.literal} takes at least {cases} composition "
-                              f"cases, above the limit {MAX_VERIFY_CASES}")
-    return ring
-
-
 def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     """All Z_n-linear function tables A -> B: for each y in B the table
     k*a -> k*y, k in range(n/a), kept when ``_table_is_linear`` passes.
@@ -357,12 +351,18 @@ class _FiniteWorld:
     ignores ``few``.
     Its generator copy (``on_bases``) keeps the morphisms and composable
     chains, but gives parallel partners on bases, points on generators, and
-    base chains to a law additive in each map."""
+    base chains to a law additive in each map. Before it lists anything the
+    constructor refuses a ring that is not Z_n (RingMismatch) and one of
+    more than MAX_VERIFY_CASES composition cases (ListingTooLarge)."""
 
     triples_are_chains = False
     on_bases = False
 
-    def __init__(self, ring: Ring, laws: LawTable):
+    def __init__(self, ring: Ring, laws: LawTable = STANDARD_LAWS):
+        cases = _composition_cases(_require_finite(ring))
+        if cases > MAX_VERIFY_CASES:
+            raise ListingTooLarge(f"verifying {ring.literal} takes at least {cases} composition "
+                                  f"cases, above the limit {MAX_VERIFY_CASES}")
         self.ring = ring
         self.laws = laws
         self.objects = enumerate_objects(ring)
@@ -1151,16 +1151,14 @@ def check_axioms(
     """Run every axiom check for one ring; failures become report entries.
     An unknown mode is a usage error: ValueError, before any check runs.
     Over Z_n the checks run on ``world`` when given, a ``_FiniteWorld`` of
-    this ring built with these laws, so verify_ring can share it; a world
-    of more than MAX_VERIFY_CASES composition cases is refused before it is
-    built, with ListingTooLarge."""
+    this ring built with these laws, so verify_ring can share it; otherwise
+    on a new one, refused above the case limit before it lists anything."""
     _check_mode(mode)
     bounds = bounds or Bounds()
     laws = laws or STANDARD_LAWS
     exhaustive = ring.characteristic > 0
     if world is None:
-        world = (_FiniteWorld(_within_budget(ring), laws) if exhaustive
-                 else _SampledWorld(ring, bounds, mode, laws))
+        world = _FiniteWorld(ring, laws) if exhaustive else _SampledWorld(ring, bounds, mode, laws)
     report = Report(ring)
     for name, finite_law, sampled_law in _CHECKS:
         fn = finite_law if exhaustive else sampled_law
@@ -1201,15 +1199,11 @@ def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
             for p in w.hom[(f.cod, E)] if _is_cokernel(w, f, E, p)]
 
 
-def _world(ring: Ring) -> _FiniteWorld:
-    """The Z_n category with the standard laws, for the searches and audits."""
-    return _FiniteWorld(_require_finite(ring), STANDARD_LAWS)
-
-
 def search_cokernel(f: Morphism) -> list[CokernelPair]:
     """Every (E, p) satisfying the full cokernel universal property, by
-    exhaustive search over the Z_n category."""
-    return _search_cokernel(_world(f.dom.ring), f)
+    exhaustive search over the Z_n category; refused, as its ``_FiniteWorld``
+    is, for a ring that is not Z_n or is above the case limit."""
+    return _search_cokernel(_FiniteWorld(f.dom.ring), f)
 
 
 def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
@@ -1249,9 +1243,9 @@ def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
 
 def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
     """Every tuple satisfying both universal properties, by exhaustive
-    search over the Z_n category."""
+    search over the Z_n category, refused as ``search_cokernel`` is."""
     _require_same_ring(A, B)
-    return _search_biproduct(_world(A.ring), A, B)
+    return _search_biproduct(_FiniteWorld(A.ring), A, B)
 
 
 def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[CheckResult]:
@@ -1264,9 +1258,9 @@ def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[Ch
 
     The audits run on ``world`` when given, a ``_FiniteWorld`` of this ring
     with any laws: they read the world's cokernel sweep and biproduct
-    verdicts, which the axiom checks share, and never ``w.laws``.
-    """
-    w = _world(ring) if world is None else world
+    verdicts, which the axiom checks share, and never ``w.laws``; without
+    one they build their own, refused as ``search_cokernel`` is."""
+    w = _FiniteWorld(ring) if world is None else world
     witness, refused = w.cokernel_sweep
     entries = [_verdict("cokernel-rule-agreement", witness)]
     for f in refused:
@@ -1321,11 +1315,10 @@ def verify_ring(
     laws: LawTable | None = None,
 ) -> Report:
     """check_axioms plus, for Z_n within the search ceiling, the audits, all
-    on one world, refused as check_axioms refuses it before it is built."""
+    on one world, refused above the case limit before it lists anything."""
     _check_mode(mode)  # a usage error before the world is built
     bounds = bounds or Bounds()
-    world = (_FiniteWorld(_within_budget(ring), laws or STANDARD_LAWS)
-             if ring.characteristic else None)
+    world = _FiniteWorld(ring, laws or STANDARD_LAWS) if ring.characteristic else None
     report = check_axioms(ring, bounds, mode, laws, world=world)
     if 0 < ring.characteristic <= bounds.search_ceiling:
         report.checks.extend(audit_existence(ring, world=world))

@@ -156,6 +156,15 @@ def test_verify_sampled_ring(run_cli):
     assert rep["totals"]["fail"] == 0
 
 
+def test_verify_defaults_are_the_verifiers_bounds():
+    # the parser copies them so that start-up need not import the verifier
+    from idealcat.verifier import Bounds
+
+    args, bounds = cli.build_parser().parse_args(["verify", "--ring", "z"]), Bounds()
+    assert (args.seed, args.max_abs, args.max_n) == (
+        bounds.seed, bounds.max_abs, bounds.search_ceiling)
+
+
 def test_oracle(run_cli):
     code, out = run_cli("oracle", "--ring", "zmod:6", "<2>", "<3>", "--json")
     assert code == 0
