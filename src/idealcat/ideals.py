@@ -11,15 +11,29 @@ equality of the underlying functions:
   k/1 modulo n/a;
 * over Z and Q[x] the multiplier is a reduced fraction, which is unique.
 
-Over Z_n every morphism operation is a few integer operations. Each Ideal
-computes n/a once, as ``_modulus`` (1 for <0>), and keeps its hash after
-the first. A multiplier that is already a residue in [0, n/a) is kept as
-it is, so compose, hom_add and hom_neg allocate the Fraction product, sum
-or negation, a second Fraction only when that must be reduced, and the
-Morphism: ``_raw_morphism`` is the one place a multiplier is reduced mod n/a.
-``apply`` tests membership as x % a and returns x * k % n. The dom/cod
-checks of compose and hom_add, and the ring checks of Fraction arithmetic,
-test identity before they call an equality method.
+Over Z_n every ideal and morphism operation is a few integer operations.
+Each Ideal computes n/a once, as ``_modulus`` (1 for <0>), and keeps its
+hash after the first.
+``ideal_new`` takes one gcd with the modulus, gcd(gens..., n) mod n;
+``is_subideal`` is a % (b or n) == 0; ``image`` is <gcd(a k, n)> and
+``kernel_generator`` gcd(a (n / gcd(a k, n)), n) mod n, for dom <a> and
+multiplier k. A multiplier that is already a residue in [0, n/a) is kept
+as it is, so compose, hom_add and hom_neg allocate the Fraction product,
+sum or negation, a second Fraction only when that must be reduced, and the
+Morphism: ``_raw_morphism`` is the one place a multiplier is reduced mod
+n/a. ``apply`` tests membership as x % a and returns x * k % n.
+
+Values built inside this module skip the checks of the public
+constructors. ``_ideal`` is the trusted builder: it fills an Ideal's slots
+from a generator its caller has made canonical (``ideal_new`` and
+``image`` computed it, ``enumerate_objects`` lists the ring's own), where
+``Ideal(ring, g)`` canonicalizes g once more to refuse a non-canonical one.
+``_raw_morphism`` fills a Morphism's slots in the same way. Equality tests
+identity first: an Ideal compares its generator and then its ring, a
+Morphism its dom and cod and then its multiplier's num and den, which is
+what its hash reads too. The dom/cod checks of compose and hom_add, and
+the ring checks of Fraction arithmetic, also test identity before they
+call an equality method.
 
 Two multiplier universes are supported. In ``full`` mode (the default)
 multipliers over the domain backends range over the fraction field, which
@@ -65,11 +79,12 @@ MAX_VERIFY_CASES = 2 * 10**7
 
 
 class _Value:
-    """An immutable value: __init__ fills each slot once, and then setting or
-    deleting an attribute raises AttributeError. repr shows the fields
-    equality compares, ``_shown``. __reduce__ rebuilds through __init__ from
-    its arguments, ``_fields``, so copy, deepcopy and pickle work despite
-    __setattr__, and slots derived from them are computed afresh."""
+    """An immutable value: __init__, or a trusted builder of this module,
+    fills each slot once, and then setting or deleting an attribute raises
+    AttributeError. repr shows the fields equality compares, ``_shown``.
+    __reduce__ rebuilds through __init__ from its arguments, ``_fields``, so
+    copy, deepcopy and pickle work despite __setattr__, and slots derived
+    from them are computed afresh."""
 
     __slots__ = ()
     _shown: tuple[str, ...]
@@ -104,19 +119,18 @@ class Ideal(_Value):
     _shown = ("ring", "generator")
 
     def __init__(self, ring: Ring, generator: RingElement, given_generators: tuple = ()):
-        _set_ring(self, ring)
-        _set_generator(self, generator)
-        _set_given_generators(self, given_generators)
         canonical = ring.canonical(generator)
         if canonical is not generator and canonical != generator:
             raise ValueError(f"{generator!r} is not a canonical generator of {ring}: "
                              "build ideals with ideal_new")
-        n = ring.characteristic
-        _set_modulus(self, (n // generator if generator else 1) if n else 0)
+        _fill_ideal(self, ring, generator, given_generators)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is self.__class__:
-            return (self.ring, self.generator) == (other.ring, other.generator)
+            return self.generator == other.generator and (
+                self.ring is other.ring or self.ring == other.ring)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -139,7 +153,8 @@ class Ideal(_Value):
 
 
 class Morphism(_Value):
-    """The map x -> x * multiplier from dom to cod, multiplier canonical."""
+    """The map x -> x * multiplier from dom to cod, multiplier canonical and
+    over the ring of dom, so equality and hash read its num and den."""
 
     __slots__ = _shown = _fields = ("dom", "cod", "multiplier")
 
@@ -150,11 +165,15 @@ class Morphism(_Value):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.dom, self.cod, self.multiplier) == (other.dom, other.cod, other.multiplier)
+            s, t = self.multiplier, other.multiplier
+            return ((self.dom is other.dom or self.dom == other.dom)
+                    and (self.cod is other.cod or self.cod == other.cod)
+                    and s.num == t.num and s.den == t.den)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod, self.multiplier))
+        s = self.multiplier
+        return hash((self.dom, self.cod, s.num, s.den))
 
     @property
     def is_zero(self) -> bool:
@@ -186,6 +205,23 @@ _set_ring, _set_generator, _set_given_generators = (
 _set_modulus, _set_hash = Ideal._modulus.__set__, Ideal._hash.__set__
 _set_dom, _set_cod, _set_multiplier = (
     Morphism.dom.__set__, Morphism.cod.__set__, Morphism.multiplier.__set__)
+_new = object.__new__
+
+
+def _fill_ideal(A: Ideal, ring: Ring, generator: RingElement, given_generators: tuple) -> None:
+    _set_ring(A, ring)
+    _set_generator(A, generator)
+    _set_given_generators(A, given_generators)
+    n = ring.characteristic
+    _set_modulus(A, (n // generator if generator else 1) if n else 0)
+
+
+def _ideal(ring: Ring, generator: RingElement, given_generators: tuple = ()) -> Ideal:
+    """The Ideal <generator>, trusting the caller that the generator is
+    canonical: Ideal.__init__ without its check."""
+    A = _new(Ideal)
+    _fill_ideal(A, ring, generator, given_generators)
+    return A
 
 
 class HomSet(NamedTuple):
@@ -216,7 +252,10 @@ def _check_mode(mode: str) -> None:
 def ideal_new(ring: Ring, gens=()) -> Ideal:
     """Normalize a generator list into the ideal it generates."""
     gens = tuple(ring.coerce(g) for g in gens)
-    return Ideal(ring, canonical_generator(ring, gens), gens)
+    n = ring.characteristic
+    if n:  # Z_n: one gcd with the modulus
+        return _ideal(ring, math.gcd(*gens, n) % n, gens)
+    return _ideal(ring, canonical_generator(ring, gens), gens)
 
 
 def contains_element(A: Ideal, x: RingElement) -> bool:
@@ -226,6 +265,9 @@ def contains_element(A: Ideal, x: RingElement) -> bool:
 def is_subideal(A: Ideal, B: Ideal) -> bool:
     """A is contained in B exactly when B's generator divides A's."""
     _require_same_ring(A, B)
+    n = A.ring.characteristic
+    if n:  # Z_n: canonical generators divide n, and <0> holds 0 only
+        return not A.generator % (B.generator or n)
     return B.ring.divides(B.generator, A.generator)
 
 
@@ -265,7 +307,11 @@ def _raw_morphism(dom: Ideal, cod: Ideal, s: Fraction) -> Morphism:
             s = Fraction(dom.ring, s.num % m, 1)
     elif dom.is_zero:
         s = Fraction.zero(dom.ring)
-    return Morphism(dom, cod, s)
+    f = _new(Morphism)
+    _set_dom(f, dom)
+    _set_cod(f, cod)
+    _set_multiplier(f, s)
+    return f
 
 
 def morphism_new(dom: Ideal, cod: Ideal, multiplier, mode: str = FULL) -> Morphism:
@@ -334,6 +380,10 @@ def apply(f: Morphism, x: RingElement) -> RingElement:
 def image(f: Morphism) -> Ideal:
     """The ideal f(dom) = <multiplier * dom.generator>."""
     ring = f.dom.ring
+    n = ring.characteristic
+    if n:  # Z_n: <a k> is <gcd(a k, n)>, given as (a k mod n,) unless a or k is 0
+        ak = f.dom.generator * f.multiplier.num
+        return _ideal(ring, math.gcd(ak, n) % n, (ak % n,) if ak else ())
     if f.dom.is_zero or f.multiplier.is_zero:
         return ideal_new(ring)
     s = f.multiplier
@@ -346,6 +396,9 @@ def kernel_generator(f: Morphism) -> RingElement:
     Over a domain a*s is zero exactly when a*num is, so den is left out.
     """
     ring, a = f.dom.ring, f.dom.generator
+    n = ring.characteristic
+    if n:  # Z_n: ann(c) = <n / gcd(c, n)>
+        return math.gcd(a * (n // math.gcd(a * f.multiplier.num, n)), n) % n
     return ring.canonical(ring.mul(a, ring.annihilator(ring.mul(a, f.multiplier.num))))
 
 
@@ -364,15 +417,20 @@ def is_epi(f: Morphism) -> bool:
 def enumerate_objects(ring: Ring) -> list[Ideal]:
     """All ideals of Z_n: one per divisor of n, with <n> normalized to <0>.
     ring.ideal_generators refuses n above MAX_OBJECT_MODULUS."""
-    return [Ideal(ring, g) for g in ring.ideal_generators()]
+    return [_ideal(ring, g) for g in ring.ideal_generators()]
 
 
 def ideal_elements(A: Ideal) -> tuple[int, ...]:
-    """The elements of a Z_n ideal, sorted."""
+    """The elements of a Z_n ideal, sorted. An ideal of more than
+    MAX_HOM_LISTING elements raises ListingTooLarge before any is listed."""
     n = A.ring.characteristic
     if not n:
         raise InfiniteObjectClass(f"cannot list elements of an ideal of {A.ring}")
-    return tuple(range(0, n, A.generator or n))
+    step = A.generator or n
+    if n // step > MAX_HOM_LISTING:
+        raise ListingTooLarge(f"{A.literal} over {A.ring.literal} has {n // step} elements, "
+                              f"above the listing limit {MAX_HOM_LISTING}")
+    return tuple(range(0, n, step))
 
 
 def all_morphisms(ring: Ring) -> list[Morphism]:

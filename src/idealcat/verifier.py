@@ -59,7 +59,7 @@ cancellation read; the laws the checks test still go through ``w.laws``.
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
 anything: the checks, both searches and the audits are bounded by that one
-count. ``brute_force_hom_set`` builds no world and stays unbounded.
+count. ``brute_force_hom_set`` builds no world; ``ideal_elements`` bounds it.
 ``verify_ring`` builds one world and hands it to ``check_axioms`` and
 ``audit_existence``. Sharing it is exact: the audits never read
 ``w.laws``, only residues and the standard ``cokernel`` and ``biproduct``.
@@ -305,17 +305,20 @@ def _composition_cases(ring: Ring) -> int:
 def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     """All Z_n-linear function tables A -> B: for each y in B the table
     k*a -> k*y, k in range(n/a), kept when ``_table_is_linear`` passes.
-    This never touches the Morphism machinery."""
+    This never touches the Morphism machinery. It lists A and B with
+    ``ideal_elements``, so an A or B of more than MAX_HOM_LISTING elements
+    raises ListingTooLarge before any table is built."""
     ring = _require_finite(A.ring)
     _require_same_ring(A, B)
     n = ring.characteristic
     a = A.generator
+    ys = ideal_elements(B)
     if a == 0:
         return [((0, 0),)]
-    m = n // a  # not A._modulus: the oracle stays independent of the fast path
+    xs = ideal_elements(A)  # k*a for k in range(n/a), in order
     tables = []
-    for y in ideal_elements(B):
-        table = {(k * a) % n: (k * y) % n for k in range(m)}
+    for y in ys:
+        table = {x: (k * y) % n for k, x in enumerate(xs)}
         if _table_is_linear(table, a, n):
             tables.append(tuple(sorted(table.items())))
     return tables
@@ -336,7 +339,9 @@ def _table_is_linear(table: dict[int, int], a: int, n: int) -> bool:
 
 
 def morphism_table(f: Morphism) -> FunctionTable:
-    """The function table a morphism induces on its (finite) domain."""
+    """The function table a morphism induces on its (finite) domain; a domain
+    of more than MAX_HOM_LISTING elements raises ListingTooLarge, as
+    ``ideal_elements`` does."""
     return tuple((x, apply(f, x)) for x in ideal_elements(f.dom))
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -474,3 +475,178 @@ def test_homset_type_shape():
     hs = enumerate_hom(zi(2), zi(4))
     assert isinstance(hs, HomSet)
     assert hs.dom == zi(2) and hs.cod == zi(4)
+
+
+# --- the Z_n value layer against the ring's methods -------------------------
+
+
+class RingMethodReference:
+    """The Z_n ideal operations written with the ring's methods only, as the
+    generic code computes them over every backend: what the integer formulas
+    of idealcat.ideals replace. Ideals are built through the validating
+    Ideal constructor, so each reference generator is checked canonical."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def ideal(self, gens):
+        ring = self.ring
+        gens = tuple(ring.coerce(g) for g in gens)
+        g = ring.zero
+        for x in gens:
+            g = ring.gcd(g, x)
+        return Ideal(ring, g, gens)
+
+    def image(self, f):
+        ring, a, s = self.ring, f.dom.generator, f.multiplier
+        if ring.is_zero(a) or ring.is_zero(s.num):
+            return self.ideal(())
+        return self.ideal([ring.exact_div(ring.mul(s.num, a), s.den)])
+
+    def kernel_generator(self, f):
+        ring, a = self.ring, f.dom.generator
+        return ring.canonical(ring.mul(a, ring.annihilator(ring.mul(a, f.multiplier.num))))
+
+    def is_subideal(self, A, B):
+        return self.ring.divides(B.generator, A.generator)
+
+    def is_mono(self, f):
+        return self.ring.is_zero(self.kernel_generator(f))
+
+    def is_epi(self, f):
+        return self.image(f).generator == f.cod.generator
+
+
+def _same_ideal(value, expected):
+    assert type(value) is Ideal
+    assert (value.ring, value.generator, value.given_generators, value._modulus) == (
+        expected.ring, expected.generator, expected.given_generators, expected._modulus)
+    assert (value, hash(value), repr(value)) == (expected, hash(expected), repr(expected))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_zmod_value_layer_matches_the_ring_methods(n):
+    """ideal_new on every generator list of length at most 2 (single
+    generators from -n to 2n, pairs of residues), and image,
+    kernel_generator, is_subideal, is_mono and is_epi on every morphism and
+    every pair of ideals of Z_n, given generators included."""
+    ring = ModularRing(n)
+    ref = RingMethodReference(ring)
+    lists = [(), *((g,) for g in range(-n, 2 * n)),
+             *((g, h) for g in range(n) for h in range(n))]
+    for gens in lists:
+        _same_ideal(ideal_new(ring, gens), ref.ideal(gens))
+    _same_ideal(ideal_new(ring, (g for g in (n + 4, -6))), ref.ideal((n + 4, -6)))
+    objects = enumerate_objects(ring)
+    for A in objects:
+        _same_ideal(A, Ideal(ring, A.generator))
+        for B in objects:
+            assert is_subideal(A, B) == ref.is_subideal(A, B), (A, B)
+            for f in enumerate_hom(A, B).elements:
+                _same_ideal(image(f), ref.image(f))
+                assert kernel_generator(f) == ref.kernel_generator(f), f
+                assert is_mono(f) == ref.is_mono(f), f
+                assert is_epi(f) == ref.is_epi(f), f
+
+
+def test_ideal_new_refuses_a_non_int_as_coerce_does():
+    ring = ModularRing(12)
+    for bad in ("3", 3.0, True, None):
+        with pytest.raises(TypeError) as raised:
+            ideal_new(ring, [4, bad])
+        assert str(raised.value) == f"not a residue: {bad!r}"
+        with pytest.raises(TypeError):
+            ideal_new(Z, [bad])
+
+
+def test_given_generators_are_the_coerced_list():
+    ring = ModularRing(12)
+    assert ideal_new(ring, [20, -3]).given_generators == (8, 9)
+    assert ideal_new(ring, [20, -3]).generator == 1
+    four, one = ideal_new(ring, [4]), ideal_new(ring, [1])
+    assert image(morphism_new(four, one, 2)).given_generators == (8,)
+    assert image(morphism_new(four, one, 3)).given_generators == ()  # 3 = 0 mod 12/4
+    # a multiplier left uncanonical: a k = 0 mod n, but neither a nor k is 0
+    assert image(Morphism(four, one, Fraction(ring, 3, 1))).given_generators == (0,)
+
+
+# --- morphism equality and hash --------------------------------------------
+
+
+def _equality_key(f):
+    """What morphism equality means: both rings, both generators, and the
+    multiplier compared as a Fraction (ring, num and den)."""
+    return (f.dom.ring.literal, f.dom.generator, f.cod.ring.literal, f.cod.generator,
+            f.multiplier)
+
+
+def _assert_equality_agrees_with_the_key(pool):
+    keyed = [(f, _equality_key(f), hash(f)) for f in pool]
+    for f, kf, hf in keyed:
+        for g, kg, hg in keyed:
+            equal = kf == kg
+            assert (f == g) is equal and (f != g) is (not equal), (f, g)
+            if equal:
+                assert hf == hg, (f, g)
+
+
+def _rebuilt(f, ring):
+    """f on fresh Ideal objects over ring, an equal ring."""
+    dom, cod = Ideal(ring, f.dom.generator), Ideal(ring, f.cod.generator)
+    return Morphism(dom, cod, Fraction(ring, f.multiplier.num, f.multiplier.den))
+
+
+def test_morphism_equality_and_hash_over_zmod():
+    """Every pair among the morphisms of Z_n and copies rebuilt on equal but
+    distinct Ideals (half of them over a distinct but equal ring)."""
+    for n in range(2, 37):
+        ring, other = ModularRing(n), ModularRing(n)
+        morphisms = all_morphisms(ring)
+        copies = [_rebuilt(f, (ring, other)[i % 2]) for i, f in enumerate(morphisms)]
+        assert all(f == g and f.dom is not g.dom for f, g in zip(morphisms, copies))
+        _assert_equality_agrees_with_the_key(morphisms + copies)
+
+
+def test_morphism_equality_across_rings():
+    """Equal generators and multipliers over different rings are unequal."""
+    pool = [f for n in (4, 8) for f in all_morphisms(ModularRing(n))]
+    pool += [morphism_new(zi(a), zi(b), k) for a in (1, 2, 4) for b in (1, 2) for k in (0, 2, 4)]
+    _assert_equality_agrees_with_the_key(pool)
+
+
+@pytest.mark.parametrize("ring", [Z, QX], ids=["z", "qpoly"])
+def test_morphism_equality_and_hash_on_drawn_morphisms(ring):
+    """Seeded draws from a few small generators and multiplier factors, so
+    that equal maps recur, each also rebuilt on fresh Ideals."""
+    rng = random.Random(20231)
+    gens = [ring.coerce(g) for g in (0, 1, 2, -3, 6)]
+    if ring is QX:
+        gens += [parse_poly(t) for t in ("x", "2x+2", "x^2-1")]
+    factors = [Fraction.from_element(ring, c) for c in (0, 1, -1, 2)]
+    pool = []
+    for _ in range(150):
+        A, B = ideal_new(ring, [rng.choice(gens)]), ideal_new(ring, [rng.choice(gens)])
+        f = morphism_new(A, B, enumerate_hom(A, B).base * rng.choice(factors))
+        pool += [f, _rebuilt(f, ring)]
+    assert not all(f.multiplier.is_integral for f in pool)  # b/a multipliers too
+    assert len(set(pool)) < len(pool) / 2  # equal maps recur
+    _assert_equality_agrees_with_the_key(pool)
+
+
+# --- listing bounds --------------------------------------------------------
+
+
+def test_ideal_elements_refuses_more_than_the_listing_limit():
+    start = time.perf_counter()
+    huge = ModularRing(10**12)
+    with pytest.raises(ListingTooLarge, match=f"<1> over zmod:{10**12} has {10**12} elements, "
+                                              "above the listing limit 100000"):
+        ideal_elements(ideal_new(huge, [1]))
+    with pytest.raises(ListingTooLarge, match=f"has {2 * 10**5} elements"):
+        ideal_elements(ideal_new(huge, [5 * 10**6]))
+    assert time.perf_counter() - start < 1
+    assert ideal_elements(ideal_new(huge, [0])) == (0,)
+    assert len(ideal_elements(ideal_new(huge, [10**7]))) == 10**5
+    assert ideal_elements(ideal_new(ModularRing(100_000), [1])) == tuple(range(100_000))
+    with pytest.raises(ListingTooLarge):
+        ideal_elements(ideal_new(ModularRing(100_001), [1]))

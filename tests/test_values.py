@@ -10,7 +10,8 @@ import pytest
 
 from idealcat.constructions import biproduct
 from idealcat.formats import parse_ideal, parse_morphism
-from idealcat.ideals import Ideal, enumerate_hom, ideal_new, morphism_new
+from idealcat.ideals import (Ideal, compose, enumerate_hom, enumerate_objects, ideal_new,
+                             image, morphism_new)
 from idealcat.rings import ring_from_literal
 
 ZMOD12 = ring_from_literal("zmod:12")
@@ -127,3 +128,24 @@ def test_cached_fields_stay_out_of_repr_eq_and_reduce(values):
     assert fresh == A and A == fresh and hash(fresh) == hash(A)
     assert repr(fresh) == repr(A)
 
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_values_of_the_trusted_builders_round_trip(duplicate):
+    """Ideals and morphisms the module builds without the public constructors'
+    checks (ideal_new, image, enumerate_objects, compose) rebuild through
+    those constructors unchanged, given generators included."""
+    objects = enumerate_objects(ZMOD12)
+    f = morphism_new(objects[1], ideal_new(ZMOD12, [2]), 10)
+    back = morphism_new(f.cod, objects[1], 1)
+    values = [*objects, ideal_new(ZMOD12, [20, -3]), image(f), f, compose(back, f),
+              ideal_new(QPOLY, [parse_ideal(QPOLY, "<2x+2>").generator])]
+    for value in values:
+        twin = duplicate(value)
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+    assert repr(image(f)) == "Ideal(ring=ModularRing(12), generator=2)"
+    assert duplicate(image(f)).given_generators == image(f).given_generators == (10,)
+    assert repr(compose(back, f)) == _m(_I1, _I1, "10")

@@ -31,6 +31,7 @@ from idealcat.formats import parse_ideal, parse_morphism
 from idealcat.fracfield import Fraction
 from idealcat.ideals import (
     FULL,
+    MAX_HOM_LISTING,
     MAX_VERIFY_CASES,
     PAPER,
     HomSet,
@@ -849,6 +850,31 @@ def test_the_composition_cases_are_counted_from_the_divisors():
 def test_the_case_limit_admits_720_and_refuses_840():
     assert verifier._composition_cases(ModularRing(720)) == 16_534_680 <= MAX_VERIFY_CASES
     assert verifier._composition_cases(ModularRing(840)) > MAX_VERIFY_CASES
+
+
+def test_listings_of_elements_are_bounded():
+    """morphism_table and brute_force_hom_set list through ideal_elements and
+    refuse an ideal of more than MAX_HOM_LISTING elements at once. No world
+    the case limit admits meets that bound: Hom(<1>, <1>) alone is (n + 1)^2
+    cases, counting <0>, so n < sqrt(MAX_VERIFY_CASES), and the CLI's
+    oracle stops at ORACLE_MAX_MODULUS."""
+    from idealcat.cli import ORACLE_MAX_MODULUS
+
+    assert ORACLE_MAX_MODULUS < math.isqrt(MAX_VERIFY_CASES) < MAX_HOM_LISTING
+    huge = ModularRing(10**12)
+    one, zero = ideal_new(huge, [1]), ideal_new(huge, [0])
+    start = time.perf_counter()
+    for listing in (lambda: morphism_table(identity(one)),
+                    lambda: brute_force_hom_set(one, one),
+                    lambda: brute_force_hom_set(one, zero),
+                    lambda: brute_force_hom_set(zero, one)):
+        with pytest.raises(ListingTooLarge, match=f"has {10**12} elements, above the listing "
+                                                  f"limit {MAX_HOM_LISTING}$"):
+            listing()
+    assert time.perf_counter() - start < 1
+    assert brute_force_hom_set(zero, zero) == [((0, 0),)]
+    small = ideal_new(ModularRing(100_000), [1])
+    assert len(morphism_table(identity(small))) == 100_000
 
 
 @pytest.mark.parametrize("n", [5040, 99991])
