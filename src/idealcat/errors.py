@@ -23,7 +23,7 @@ class ZeroDenominator(IdealCatError):
 
 
 class FractionOverNonDomain(IdealCatError):
-    """Fractions with non-unit denominator are undefined over Z_n."""
+    """A Z_n fraction has the denominator 1; every other one is refused."""
 
 
 class InvalidMultiplier(IdealCatError):

@@ -20,7 +20,7 @@ from .constructions import (
 )
 from .errors import ParseError, RingMismatch
 from .fracfield import format_fraction, parse_fraction
-from .ideals import FULL, HomSet, Ideal, Morphism, ideal_new, morphism_new
+from .ideals import FULL, HomSet, Ideal, Morphism, _check_mode, _valid_morphism, ideal_new
 from .rings import Ring, ring_from_literal
 
 if TYPE_CHECKING:  # the verifier loads only when verify or oracle runs
@@ -50,7 +50,9 @@ def parse_morphism(ring: Ring, text: str, mode: str = FULL) -> Morphism:
         raise ParseError(f"morphism literal needs three ;-separated parts, got {text!r}")
     dom = ideal_new(ring, [ring.parse_element(parts[0])])
     cod = ideal_new(ring, [ring.parse_element(parts[2])])
-    return morphism_new(dom, cod, parse_fraction(ring, parts[1]), mode)
+    s = parse_fraction(ring, parts[1])
+    _check_mode(mode)
+    return _valid_morphism(dom, cod, s, mode)
 
 
 def format_morphism(f: Morphism) -> str:
@@ -88,7 +90,9 @@ def morphism_from_json(obj: dict, mode: str = FULL) -> Morphism:
     dom, cod = ideal_from_json(dom), ideal_from_json(cod)
     if dom.ring != cod.ring:
         raise RingMismatch("morphism endpoints over different rings")
-    return morphism_new(dom, cod, parse_fraction(dom.ring, mult), mode)
+    s = parse_fraction(dom.ring, mult)
+    _check_mode(mode)
+    return _valid_morphism(dom, cod, s, mode)
 
 
 def homset_to_json(hs: HomSet) -> dict:

@@ -2,9 +2,10 @@
 
 Over the domain backends a fraction num/den is kept in the unique reduced
 form: gcd(num, den) is a unit, the denominator is the canonical associate
-(positive integer, monic polynomial) and zero is exactly 0/1. Over Z_n the
-denominator is always the unit 1; there are no genuine fractions over a
-non-domain.
+(positive integer, monic polynomial) and zero is exactly 0/1. Over Z_n a
+fraction is a residue k/1: there are no genuine fractions over a
+non-domain, and the ``Fraction`` constructor refuses any other denominator
+with FractionOverNonDomain, so no code past it tests a Z_n denominator.
 
 fraction_reduce skips work that cannot change the result: over a
 denominator of 1 it returns at once, when either side is a unit (a
@@ -17,12 +18,10 @@ reduces crosswise, by gcd(a, d) and gcd(c, b) on the factors of
 gcd(b, d) first; coprime denominators need no further gcd, and otherwise
 only g can share a factor with the new numerator. Both results keep a
 canonical denominator without a unit step, since quotients and products
-of canonical associates are canonical. Over Z_n, ``+`` and ``*`` of two
-fractions over 1 skip fraction_reduce and the ring's methods: they are one
-integer sum or product modulo n; any other fraction over Z_n still goes
-through fraction_reduce, which refuses a non-unit denominator. ``+``,
-``*`` and ``==`` test the two rings for identity before calling the
-ring's equality.
+of canonical associates are canonical. Over Z_n, ``+`` and ``*`` skip
+fraction_reduce and the ring's methods: they are one integer sum or
+product modulo n. ``+``, ``*`` and ``==`` test the two rings for identity
+before calling the ring's equality.
 
 Text form: ``p`` or ``p/q``. A ring whose element literals contain ``/``
 (qpoly's rational coefficients) sets ``parenthesized_fractions``, and
@@ -40,11 +39,14 @@ _QPOLY_FRACTION = re.compile(r"\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)")
 
 
 class Fraction:
-    """A reduced ring fraction. Construct via fraction_reduce or from_element."""
+    """A reduced ring fraction. Construct via fraction_reduce or from_element.
+    Over Z_n the denominator is 1; any other raises FractionOverNonDomain."""
 
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: Ring, num: RingElement, den: RingElement):
+        if den != 1 and not ring.is_domain:  # a Z_n fraction pays one int comparison
+            raise FractionOverNonDomain(f"denominator {den} over {ring}")
         self.ring = ring
         self.num = num
         self.den = den
@@ -82,7 +84,7 @@ class Fraction:
         if other.ring is not r:
             self._require_same_ring(other)
         n = r.characteristic
-        if n and self.den == 1 and other.den == 1:  # Z_n residues
+        if n:  # Z_n residues
             return Fraction(r, (self.num + other.num) % n, 1)
         return _sum(r, self.num, self.den, other.num, other.den)
 
@@ -97,7 +99,7 @@ class Fraction:
         if other.ring is not r:
             self._require_same_ring(other)
         n = r.characteristic
-        if n and self.den == 1 and other.den == 1:  # Z_n residues
+        if n:  # Z_n residues
             return Fraction(r, self.num * other.num % n, 1)
         return _product(r, self.num, self.den, other.num, other.den)
 
@@ -120,10 +122,7 @@ class Fraction:
 
 
 def _sum(r: Ring, a, b, c, d) -> Fraction:
-    """a/b + c/d for reduced fractions, past the Z_n residue path of
-    ``Fraction.__add__``."""
-    if not r.is_domain:
-        return fraction_reduce(r, r.add(r.mul(a, d), r.mul(c, b)), r.mul(b, d))
+    """a/b + c/d for reduced fractions over a domain."""
     # a/b + c/d = (a*(d/g) + c*(b/g)) / (b*d/g) with g = gcd(b, d); only g
     # can share a factor with that numerator (Henrici 1956). A zero sum
     # has b = d, so it comes out as 0/1
@@ -140,12 +139,9 @@ def _sum(r: Ring, a, b, c, d) -> Fraction:
 
 
 def _product(r: Ring, a, b, c, d) -> Fraction:
-    """(a/b) * (c/d) for reduced fractions, past the Z_n residue path of
-    ``Fraction.__mul__``. Over a domain it reduces crosswise: a is prime to
-    b and c to d, so gcd(a, d) and gcd(c, b) are every common factor
-    (Henrici 1956)."""
-    if not r.is_domain:
-        return fraction_reduce(r, r.mul(a, c), r.mul(b, d))
+    """(a/b) * (c/d) for reduced fractions over a domain, reduced crosswise:
+    a is prime to b and c to d, so gcd(a, d) and gcd(c, b) are every common
+    factor (Henrici 1956)."""
     if r.is_zero(a) or r.is_zero(c):
         return Fraction(r, r.zero, r.one)
     one, unit = r.one, r.is_unit
@@ -166,15 +162,11 @@ def fraction_reduce(ring: Ring, num, den) -> Fraction:
     den = ring.coerce(den)
     if ring.is_zero(den):
         raise ZeroDenominator(f"zero denominator over {ring}")
-    if not ring.is_domain:
-        if den != ring.one:
-            raise FractionOverNonDomain(f"denominator {den} over {ring}")
-        return Fraction(ring, num, ring.one)
-    if ring.is_zero(num):
-        return Fraction(ring, ring.zero, ring.one)
     one = ring.one
-    if den == one:
-        return Fraction(ring, num, one)
+    if den == one or not ring.is_domain:  # the constructor refuses a Z_n den != 1
+        return Fraction(ring, num, den)
+    if ring.is_zero(num):
+        return Fraction(ring, ring.zero, one)
     if not (ring.is_unit(num) or ring.is_unit(den)):
         g = ring.gcd(num, den)
         if g != one:

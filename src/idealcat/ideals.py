@@ -285,7 +285,8 @@ def _as_fraction(ring: Ring, value) -> Fraction:
     if isinstance(value, Fraction):
         if value.ring != ring:
             raise RingMismatch(f"multiplier over {value.ring}, ideals over {ring}")
-        return value
+        # a caller's fraction may be unreduced, and Morphism equality reads num and den
+        return value if value.den == ring.one else fraction_reduce(ring, value.num, value.den)
     return Fraction.from_element(ring, value)
 
 
@@ -303,7 +304,7 @@ def _raw_morphism(dom: Ideal, cod: Ideal, s: Fraction) -> Morphism:
     # canonicalizes but skips the validity check; internal fast path
     m = dom._modulus
     if m:  # Z_n: the least residue modulo n/a, which is 0 out of <0>
-        if not (0 <= s.num < m and s.den == 1):
+        if not 0 <= s.num < m:
             s = Fraction(dom.ring, s.num % m, 1)
     elif dom.is_zero:
         s = Fraction.zero(dom.ring)
@@ -318,7 +319,13 @@ def morphism_new(dom: Ideal, cod: Ideal, multiplier, mode: str = FULL) -> Morphi
     """Build the validated, canonicalized morphism x -> x * multiplier."""
     _require_same_ring(dom, cod)
     _check_mode(mode)
-    s = _as_fraction(dom.ring, multiplier)
+    return _valid_morphism(dom, cod, _as_fraction(dom.ring, multiplier), mode)
+
+
+def _valid_morphism(dom: Ideal, cod: Ideal, s: Fraction, mode: str) -> Morphism:
+    """morphism_new past its argument checks, for a reduced s over the ring of
+    dom and cod. The literal parsers call it with parse_fraction's result,
+    which is reduced already, once they have checked the mode."""
     if mode == PAPER and not s.is_integral:
         raise InvalidMultiplier(f"{s} is not a ring element (paper mode)")
     if not _multiplier_sends_into(dom, cod, s):

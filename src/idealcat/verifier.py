@@ -59,7 +59,8 @@ cancellation read; the laws the checks test still go through ``w.laws``.
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
 anything: the checks, both searches and the audits are bounded by that one
-count. ``brute_force_hom_set`` builds no world; ``ideal_elements`` bounds it.
+count. ``brute_force_hom_set`` builds no world; ``ideal_elements`` bounds it,
+and so does the size of its tables, |A| |B|, by the same count.
 ``verify_ring`` builds one world and hands it to ``check_axioms`` and
 ``audit_existence``. Sharing it is exact: the audits never read
 ``w.laws``, only residues and the standard ``cokernel`` and ``biproduct``.
@@ -307,7 +308,8 @@ def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     k*a -> k*y, k in range(n/a), kept when ``_table_is_linear`` passes.
     This never touches the Morphism machinery. It lists A and B with
     ``ideal_elements``, so an A or B of more than MAX_HOM_LISTING elements
-    raises ListingTooLarge before any table is built."""
+    raises ListingTooLarge before any table is built, and so does a pair
+    whose |B| tables of |A| entries exceed MAX_VERIFY_CASES in all."""
     ring = _require_finite(A.ring)
     _require_same_ring(A, B)
     n = ring.characteristic
@@ -316,6 +318,10 @@ def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     if a == 0:
         return [((0, 0),)]
     xs = ideal_elements(A)  # k*a for k in range(n/a), in order
+    entries = len(xs) * len(ys)
+    if entries > MAX_VERIFY_CASES:
+        raise ListingTooLarge(f"the hom tables {A} -> {B} over {ring.literal} take {entries} "
+                              f"entries, above the limit {MAX_VERIFY_CASES}")
     tables = []
     for y in ys:
         table = {x: (k * y) % n for k, x in enumerate(xs)}
@@ -1145,6 +1151,12 @@ _CHECKS = [
 ]
 
 
+def _require_world_of(world: _FiniteWorld, ring: Ring) -> _FiniteWorld:
+    if world.ring != ring:
+        raise RingMismatch(f"a world of {world.ring} cannot verify {ring}")
+    return world
+
+
 def check_axioms(
     ring: Ring,
     bounds: Bounds | None = None,
@@ -1157,13 +1169,19 @@ def check_axioms(
     An unknown mode is a usage error: ValueError, before any check runs.
     Over Z_n the checks run on ``world`` when given, a ``_FiniteWorld`` of
     this ring built with these laws, so verify_ring can share it; otherwise
-    on a new one, refused above the case limit before it lists anything."""
+    on a new one, refused above the case limit before it lists anything.
+    A world of another ring raises RingMismatch, one of other laws
+    ValueError."""
     _check_mode(mode)
     bounds = bounds or Bounds()
     laws = laws or STANDARD_LAWS
     exhaustive = ring.characteristic > 0
     if world is None:
         world = _FiniteWorld(ring, laws) if exhaustive else _SampledWorld(ring, bounds, mode, laws)
+    else:
+        _require_world_of(world, ring)
+        if world.laws != laws:
+            raise ValueError("the world was built with other laws than the checks are given")
     report = Report(ring)
     for name, finite_law, sampled_law in _CHECKS:
         fn = finite_law if exhaustive else sampled_law
@@ -1263,9 +1281,10 @@ def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[Ch
 
     The audits run on ``world`` when given, a ``_FiniteWorld`` of this ring
     with any laws: they read the world's cokernel sweep and biproduct
-    verdicts, which the axiom checks share, and never ``w.laws``; without
-    one they build their own, refused as ``search_cokernel`` is."""
-    w = _FiniteWorld(ring) if world is None else world
+    verdicts, which the axiom checks share, and never ``w.laws``; a world
+    of another ring raises RingMismatch. Without one they build their own,
+    refused as ``search_cokernel`` is."""
+    w = _FiniteWorld(ring) if world is None else _require_world_of(world, ring)
     witness, refused = w.cokernel_sweep
     entries = [_verdict("cokernel-rule-agreement", witness)]
     for f in refused:

@@ -52,6 +52,16 @@ def test_zmod_unit_denominator_allowed():
     assert (f.num, f.den) == (4, 1)
 
 
+def test_is_one_is_the_fraction_one_alone():
+    for ring in (Z, Z6, QX):
+        assert Fraction.one(ring).is_one
+        assert fraction_reduce(ring, 7, 7).is_one
+        assert not Fraction.zero(ring).is_one
+    assert fraction_reduce(Z6, 7, 1).is_one  # 7 is 1 mod 6
+    assert not fraction_reduce(Z, 1, 2).is_one and not fraction_reduce(Z, 2, 1).is_one
+    assert not fraction_reduce(QX, parse_poly("x"), parse_poly("x+1")).is_one
+
+
 def test_zmod_sums_and_products_match_fraction_reduce():
     for n in (2, 6, 12):
         ring = ModularRing(n)
@@ -59,12 +69,10 @@ def test_zmod_sums_and_products_match_fraction_reduce():
             fa, fb = Fraction.from_element(ring, a), Fraction.from_element(ring, b)
             assert fa + fb == fraction_reduce(ring, a + b, 1)
             assert fa * fb == fraction_reduce(ring, a * b, 1)
-    # a directly built fraction over a non-unit denominator still fails
-    bad = Fraction(Z6, 1, 5)
-    with pytest.raises(FractionOverNonDomain):
-        bad * Fraction.one(Z6)
-    with pytest.raises(FractionOverNonDomain):
-        Fraction.one(Z6) + bad
+    # a Z_n fraction is k/1: building one over any other denominator fails
+    for den in (5, 2, 0, 7):
+        with pytest.raises(FractionOverNonDomain, match=f"denominator {den} over zmod:6"):
+            Fraction(Z6, 1, den)
 
 
 @given(ints, nonzero_ints)

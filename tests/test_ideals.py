@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idealcat.errors import (
+    FractionOverNonDomain,
     InfiniteObjectClass,
     ListingTooLarge,
     InvalidMultiplier,
@@ -15,6 +16,7 @@ from idealcat.errors import (
     NotInDomain,
     RingMismatch,
 )
+from idealcat.formats import parse_morphism
 from idealcat.fracfield import Fraction, fraction_reduce
 from idealcat.hasse import _divisor_covers, covering_pairs
 from idealcat.ideals import (
@@ -171,6 +173,39 @@ def test_fraction_multiplier_modes():
     assert apply(f, 4) == 6
     with pytest.raises(InvalidMultiplier):
         morphism_new(zi(2), zi(3), s, mode="paper")
+
+
+def test_a_caller_fraction_multiplier_is_reduced():
+    """morphism_new reduces a Fraction built directly, so that equal maps are
+    equal Morphisms with one hash; 2/4 used to stay 2/4, unequal to 1/2."""
+    x2_1 = ideal_new(QX, [parse_poly("x^2-1")])
+    for dom, cod, unreduced, reduced in [
+        (zi(4), zi(1), Fraction(Z, 2, 4), fraction_reduce(Z, 1, 2)),
+        (zi(4), zi(1), Fraction(Z, -2, -4), fraction_reduce(Z, 1, 2)),
+        (zi(6), zi(1), Fraction(Z, 3, -6), fraction_reduce(Z, -1, 2)),
+        (x2_1, ideal_new(QX, [1]), Fraction(QX, parse_poly("2x+2"), parse_poly("2x^2-2")),
+         fraction_reduce(QX, 1, parse_poly("x-1"))),
+    ]:
+        f, g = morphism_new(dom, cod, unreduced), morphism_new(dom, cod, reduced)
+        assert (f, hash(f), repr(f)) == (g, hash(g), repr(g))
+        assert (f.multiplier.num, f.multiplier.den) == (reduced.num, reduced.den)
+        # the literal parse path reduces as before
+        assert parse_morphism(dom.ring, f.literal) == f
+    # a fraction equal to a ring element is one in paper mode
+    assert morphism_new(zi(2), zi(1), Fraction(Z, 4, 2), mode="paper").multiplier.is_integral
+    assert str(parse_morphism(Z, "rho(4;2/4;1)").multiplier) == "1/2"
+
+
+def test_a_zmod_fraction_over_another_denominator_is_refused():
+    """1/5 over Z_6 used to become rho(1;1;1), the identity, although
+    morphism_new had validated x -> 5x: the denominator was dropped."""
+    with pytest.raises(FractionOverNonDomain, match="^denominator 5 over zmod:6$"):
+        morphism_new(z6i(1), z6i(1), Fraction(Z6, 1, 5))
+    with pytest.raises(FractionOverNonDomain, match="^denominator 5 over zmod:6$"):
+        fraction_reduce(Z6, 0, 5)
+    assert (fraction_reduce(Z6, 1, 7).num, fraction_reduce(Z6, 1, 7).den) == (1, 1)
+    f = morphism_new(z6i(1), z6i(1), Fraction(Z6, 5, 1))
+    assert apply(f, 1) == 5 and f != identity(z6i(1))
 
 
 def test_inclusion():

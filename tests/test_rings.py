@@ -74,6 +74,17 @@ def test_gcd_rejects_zmod():
         euclid_gcd(Z6, 4, 2)
 
 
+def test_xgcd_rejects_zmod():
+    with pytest.raises(ValueError, match="^euclid_xgcd is defined over the domain backends only$"):
+        euclid_xgcd(Z6, 4, 2)
+
+
+def test_qpoly_coerces_a_rational_to_a_constant():
+    assert QX.coerce(Q(3, 2)) == parse_poly("3/2") == Poly.const(Q(3, 2))
+    assert QX.coerce(Q(0)) == QX.zero
+    assert QX.coerce(Q(4, 2)) == QX.coerce(2)
+
+
 def test_divides_examples():
     assert divides(Z, 3, 6)
     assert divides(Z, 0, 0)

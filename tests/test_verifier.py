@@ -877,6 +877,43 @@ def test_listings_of_elements_are_bounded():
     assert len(morphism_table(identity(small))) == 100_000
 
 
+def test_hom_tables_are_bounded_by_their_size():
+    """|A| |B| table entries above MAX_VERIFY_CASES are refused after both
+    listings and before any table is built; for <1> -> <1> over zmod:100000
+    that is 10^10 entries, where zmod:4000 already took 11 s and 1.6 GB.
+    Every world the case limit admits passes: it has at least n^2 cases,
+    and |A| |B| <= n^2."""
+    one = ideal_new(ModularRing(100_000), [1])
+    start = time.perf_counter()
+    with pytest.raises(ListingTooLarge, match=f"^the hom tables <1> -> <1> over zmod:100000 take "
+                                              f"{10**10} entries, above the limit "
+                                              f"{MAX_VERIFY_CASES}$"):
+        brute_force_hom_set(one, one)
+    assert time.perf_counter() - start < 1
+    # one table of 10^5 entries is within the bound
+    assert len(brute_force_hom_set(one, ideal_new(one.ring, [0]))) == 1
+    for n in [*range(2, 121), 720, 4463]:
+        assert verifier._composition_cases(ModularRing(n)) >= n * n, n
+
+
+def test_a_shared_world_must_be_of_the_ring_and_the_laws_it_verifies():
+    # both ran on: a report labelled zmod:6 with 4 fails, and 34 audit entries where zmod:6 has 8
+    mutant = law_mutations()["compose-adds-multipliers"]
+    w12 = verifier._FiniteWorld(ModularRing(12), mutant)
+    for ring in (Z6, INTEGERS):
+        with pytest.raises(RingMismatch, match=f"^a world of zmod:12 cannot verify {ring}$"):
+            check_axioms(ring, laws=mutant, world=w12)
+        with pytest.raises(RingMismatch, match=f"^a world of zmod:12 cannot verify {ring}$"):
+            verifier.audit_existence(ring, world=w12)
+    w6 = verifier._FiniteWorld(ModularRing(6), mutant)
+    with pytest.raises(ValueError, match="other laws"):
+        check_axioms(Z6, world=w6)
+    # an equal ring and the same laws share the world; the audits take any laws
+    assert check_axioms(Z6, laws=mutant, world=w6) == check_axioms(Z6, laws=mutant)
+    assert verifier.audit_existence(Z6, world=w6) == verifier.audit_existence(Z6)
+    assert len(verifier.audit_existence(Z6)) == 8
+
+
 @pytest.mark.parametrize("n", [5040, 99991])
 def test_verify_ring_refuses_a_ring_above_the_case_limit(n):
     # both ran on with no output; P1 alone takes about 10^9 and 10^10 compositions
