@@ -38,23 +38,28 @@ argument assumes, as every check does, that the laws and ``apply`` are
 deterministic functions of morphism values.
 
 Over Z_n every universal property is one cone test, ``_universal``, the
-zero object on the empty diagram included. The cokernel and the biproduct
-property are each one predicate, ``_is_cokernel`` and ``_is_biproduct``,
-for the axiom checks, the searches and the existence audits alike. The
-audits put each construction a rule returns through it (a miss is a
-failure) and search Z_n exhaustively only where the rule refuses: a
-construction the search certifies there is a ``discrepancy`` with a
-machine-checkable witness and does not fail the suite. Both searches first
-count hom-sets. A biproduct apex with fewer maps into it (or out of it) at
-some object than there are cones there cannot be universal, by pigeonhole,
-so no legs are tried on it. A cokernel apex E of f needs as many maps E ->
-C as there are maps cod f -> C that kill f, at each C; unlike the
-pigeonhole bound this rests on laws of the standard composition (see
-``_search_cokernel``). The world computes the composites it takes itself
-(cone counts, cancellation, idempotents, right divisors, killers) as
-residues, ``_residue``, with no Fraction or Morphism built, and keeps the
-residues of every hom-set in a column per object, which the cone tests and
-cancellation read; the laws the checks test still go through ``w.laws``.
+zero object on the empty diagram included. It keys each cone by one int,
+settles each object by set operations on those keys, and walks the cones in
+order only at an object that the set test does not pass, so the miss it
+reports is the first one a walk over every object finds. A kernel or
+cokernel test hands it the map f whose killers are the cones that must be
+hit. The cokernel and the biproduct property are each one predicate,
+``_is_cokernel`` and ``_is_biproduct``, for the axiom checks, the searches
+and the existence audits alike. The audits put each construction a rule
+returns through it (a miss is a failure) and search Z_n exhaustively only
+where the rule refuses: a construction the search certifies there is a
+``discrepancy`` with a machine-checkable witness and does not fail the
+suite. Both searches first count hom-sets. A biproduct apex with fewer maps
+into it (or out of it) at some object than there are cones there cannot be
+universal, by pigeonhole, so no legs are tried on it. A cokernel apex E of
+f needs as many maps E -> C as there are maps cod f -> C that kill f, at
+each C; unlike the pigeonhole bound this rests on laws of the standard
+composition (see ``_search_cokernel``). The world computes the composites
+it takes itself (cone counts, cancellation, idempotents, right divisors,
+killers) as residues, ``_residue``, with no Fraction or Morphism built, and
+keeps the residues of every hom-set in a column per object, which the cone
+tests and cancellation read; the laws the checks test still go through
+``w.laws``.
 
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
@@ -587,40 +592,67 @@ def _residue(g: Morphism, f: Morphism) -> int:
 
 
 def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: bool,
-               admits: Callable[[tuple], bool] | None = None) -> tuple | None:
+               f: Morphism | None = None) -> tuple | None:
     """(C, cone) for the first admitted cone, at C, that the legs do not
     factor exactly once, or None.
 
     Universality (Mac Lane, CWM III.1): at every object C, a limit's h -> (leg h)
     maps hom(C, apex) one to one onto the admitted tuples of maps C -> cod leg,
     and a colimit's h -> (h leg) maps hom(apex, C) onto those of dom leg -> C.
-    Hits are counted once per C; cones are visited object by object in hom-set
-    order, and ``admits`` (default: every cone) picks the cones that must be hit.
-    With no legs the one cone at C is empty, hit once per map C -> apex (apex
-    -> C for a colimit): the test of a terminal (initial) object.
+    Every cone is admitted, or, given f and one leg, the killers of f: the
+    cones c with f c = 0 (limit) or c f = 0. With no legs the one cone at C is
+    empty, hit once per map C -> apex (apex -> C for a colimit): the test of a
+    terminal (initial) object.
 
     Each leg's maps share dom and cod, so their canonical multipliers k/1,
-    all over the world's ring, are told apart by the residue k alone: a cone
-    is keyed by the tuple of its residues, read from the world's columns, and
-    a hit by the residues of its composites with the legs (``_residue``).
+    all over the world's ring, are told apart by the residue k alone, which
+    lies below the modulus of their domain. So a cone is keyed by one int,
+    its residues in mixed radix over those moduli, read from the world's
+    columns, and a hit by the residues of its composites with the legs
+    (``_residue``). Set operations settle each C: it passes when no key is
+    hit twice and no cone hit zero times is admitted, where s kills f when
+    s k_f is 0 modulo the modulus of C (limit) or of dom f, as ``_residue``
+    reads it. Only a C that does not pass runs the ordered walk, which
+    visits the cones in the order of their product and returns the first
+    admitted one not hit exactly once. When the leg does not compose with f
+    every C runs it, and its admission, through ``_residue``, raises that
+    function's NotComposable at the first cone not hit exactly once.
     """
     columns = w.into if limit else w.out_of
-    apex_column = columns[apex]
     for leg in legs:  # the text _residue raises on the first composite
         if limit and leg.dom != apex:
             raise NotComposable(f"cod {apex} of f differs from dom {leg.dom} of g")
         if not limit and leg.cod != apex:
             raise NotComposable(f"cod {leg.cod} of f differs from dom {apex} of g")
     ks = [leg.multiplier.num for leg in legs]
-    for (C, rs, _), *cols in zip(apex_column, *(columns[leg.cod if limit else leg.dom]
-                                                 for leg in legs)):
-        # leg h (limit) or h leg has residue r k modulo the modulus of its domain
-        ms = [C._modulus] * len(legs) if limit else [leg.dom._modulus for leg in legs]
-        keys = [[r * k % m for r in rs] for k, m in zip(ks, ms)]
-        hits = Counter(zip(*keys)) if legs else Counter({(): len(rs)})
-        for key, cone in zip(product(*(col[1] for col in cols)),
-                             product(*(col[2] for col in cols))):
-            if hits[key] != 1 and (admits is None or admits(cone)):
+    # leg h (limit) or h leg has residue r k modulo the modulus of its domain
+    ms = [leg.dom._modulus for leg in legs]
+    # a leg that does not compose with f leaves every C to the walk
+    settle = f is None or (legs[0].cod == f.dom if limit else f.cod == legs[0].dom)
+    if f is not None:
+        kf, mf = f.multiplier.num, f.dom._modulus
+    for (C, rs, _), *cols in zip(columns[apex], *(columns[leg.cod if limit else leg.dom]
+                                                   for leg in legs)):
+        if limit:
+            mf = C._modulus
+            ms = [mf] * len(legs)
+        if len(cols) == 1:  # one leg: a residue is its own key
+            k, m, cones = ks[0], ms[0], cols[0][1]
+            keys = [r * k % m for r in rs]
+        else:  # cones in the order of their product
+            keys, cones, radix = [0] * len(rs), [0], 1
+            for k, m, (_, ss, _) in zip(ks, ms, cols):
+                keys = [key + r * k % m * radix for key, r in zip(keys, rs)]
+                cones = [cone + s * radix for cone in cones for s in ss]
+                radix *= m
+        hit = set(keys)
+        if settle and len(hit) == len(rs) and (hit.issuperset(cones) if f is None else
+                                               all(s * kf % mf for s in cones if s not in hit)):
+            continue
+        hits = Counter(keys)
+        for key, cone in zip(cones, product(*(col[2] for col in cols))):
+            if hits[key] != 1 and (f is None or not (_residue(f, cone[0]) if limit
+                                                     else _residue(cone[0], f))):
                 return C, cone
     return None
 
@@ -963,7 +995,7 @@ def _fin_equality_pointwise(w: _FiniteWorld):
 def _fin_kernel_universal(w: _FiniteWorld):
     for f in w.morphisms:
         K, j = w.laws.kernel(f)
-        miss = _universal(w, K, (j,), True, lambda c: not _residue(f, c[0]))
+        miss = _universal(w, K, (j,), True, f)
         if miss is not None:
             return {"f": f.literal, "j'": miss[1][0].literal, "law": "unique factorization"}
     return None
@@ -1198,7 +1230,7 @@ def _is_cokernel(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
     """Whether p: cod f -> E is enumerated, kills f, and factors every map
     that kills f exactly once: whether _search_cokernel lists (E, p)."""
     return (p in w.members[(f.cod, E)] and not _residue(p, f)
-            and _universal(w, E, (p,), False, lambda c: not _residue(c[0], f)) is None)
+            and _universal(w, E, (p,), False, f) is None)
 
 
 def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
@@ -1245,7 +1277,7 @@ def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
     |hom(C, P)| < |hom(C, A)| |hom(C, B)| or |hom(P, C)| < |hom(A, C)|
     |hom(B, C)|. This is the pigeonhole principle, not a heuristic. The maps
     of one hom-set have distinct residues, so distinct cones have distinct
-    residue tuples, the keys of ``_universal``'s count; with fewer maps than
+    residue tuples and distinct keys in ``_universal``; with fewer maps than
     cones some cone is hit no time, and ``_universal`` rejects every product
     (or every coproduct) with apex P, whatever ``compose`` returns. A skipped
     P adds nothing to the list the unbounded loop builds.
