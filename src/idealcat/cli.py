@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (discrepancy-only verification included), 1 usage or
 parse errors, 2 mathematical non-existence (cokernel/biproduct/splitting/
-inclusion refusals), 3 verification failure (any fail entry in a report).
+inclusion refusals), 3 verification failure (any fail entry in a report),
+141 stdout closed before the answer was written (the shell's code for
+SIGPIPE, as in ``verify ... | head -1``).
 
 Listings are bounded: ``homs`` over Z_n refuses a hom-set of more than
 ``ideals.MAX_HOM_LISTING`` morphisms, ``objects``, ``poset`` and ``verify``
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -182,7 +185,13 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return code
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    print(json.dumps(payload, separators=(",", ":")) if args.json else human)
+    try:
+        print(json.dumps(payload, separators=(",", ":")) if args.json else human)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+    except BrokenPipeError:
+        # the reader has gone (`| head -1`): stdout to devnull, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

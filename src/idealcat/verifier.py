@@ -49,17 +49,16 @@ and the existence audits alike. The audits put each construction a rule
 returns through it (a miss is a failure) and search Z_n exhaustively only
 where the rule refuses: a construction the search certifies there is a
 ``discrepancy`` with a machine-checkable witness and does not fail the
-suite. Both searches first count hom-sets. A biproduct apex with fewer maps
+suite. The biproduct search first counts hom-sets: an apex with fewer maps
 into it (or out of it) at some object than there are cones there cannot be
-universal, by pigeonhole, so no legs are tried on it. A cokernel apex E of
-f needs as many maps E -> C as there are maps cod f -> C that kill f, at
-each C; unlike the pigeonhole bound this rests on laws of the standard
-composition (see ``_search_cokernel``). The world computes the composites
-it takes itself (cone counts, cancellation, idempotents, right divisors,
-killers) as residues, ``_residue``, with no Fraction or Morphism built, and
-keeps the residues of every hom-set in a column per object, which the cone
-tests and cancellation read; the laws the checks test still go through
-``w.laws``.
+universal, by pigeonhole, so no legs are tried on it. The cokernel search
+tries one apex, the ideal of order |cod f| / |im f|, the only one a
+cokernel can have in L_(Z_n) (proof at ``_search_cokernel``). The world
+computes the composites it takes itself (cone counts, cancellation,
+idempotents, right divisors) as residues, ``_residue``, with no Fraction
+or Morphism built, and keeps the residues of every hom-set in a column per
+object, which the cone tests and cancellation read; the laws the checks
+test still go through ``w.laws``.
 
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
@@ -1234,30 +1233,29 @@ def _is_cokernel(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
 
 
 def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
-    """Every (E, p) that ``_is_cokernel`` accepts.
+    """Every (E, p) that ``_is_cokernel`` accepts, all at one apex in closed form.
 
-    An apex E is skipped, before any p is tried, unless at every object C
-    |hom(E, C)| equals the number of killers of f at C, the maps h: cod f ->
-    C with h f = 0. For a cokernel p, h -> h p maps hom(E, C) into the
-    killers, as (h p) f = h (p f) = h 0 = 0, and universality makes that map
-    one to one and onto. Unlike the biproduct bound, this rests on laws of
-    the standard composition: it is associative, sends h 0 to 0 and lands in
-    the enumerated hom-sets, whose maps have distinct multipliers. All of
-    them hold over Z_n by construction. The world computes every composite
-    of its own as a residue (``_residue``), never through ``compose`` or
-    ``w.laws``. Over Z_n, |hom(E, R)| = |E| fixes E, so at most one apex is
-    left.
+    With b the generator of cod f, the apex is E = <b |im f|>, the one ideal
+    of order e = |cod f| / |im f|. Proof: cod f / im f is a cyclic Z_n-module
+    of order e, and e divides n; Z_n has exactly one ideal of that order,
+    <n/e> = <b |im f|>, and it is isomorphic to Z_e. L_R is a full
+    subcategory of R-Mod, so (E, p) is a cokernel in L_R for every
+    surjection p: cod f -> E with kernel im f. Cokernels are unique up to
+    isomorphism and |E| fixes E, so no other apex has one (Mac Lane, CWM
+    VIII; Lam, Lectures on Modules and Rings, §15). Every p into E still
+    goes through ``_is_cokernel``, which finds the phi(e) of them.
     """
-    killers = [sum(not _residue(h, f) for h in w.hom[(f.cod, C)]) for C in w.objects]
-    return [CokernelPair(E, p) for E in w.objects
-            if [len(w.hom[(E, C)]) for C in w.objects] == killers
-            for p in w.hom[(f.cod, E)] if _is_cokernel(w, f, E, p)]
+    apex = f.cod.generator * image(f)._modulus % w.ring.characteristic
+    E = next(E for E in w.objects if E.generator == apex)
+    return [CokernelPair(E, p) for p in w.hom[(f.cod, E)] if _is_cokernel(w, f, E, p)]
 
 
 def search_cokernel(f: Morphism) -> list[CokernelPair]:
-    """Every (E, p) satisfying the full cokernel universal property, by
-    exhaustive search over the Z_n category; refused, as its ``_FiniteWorld``
-    is, for a ring that is not Z_n or is above the case limit."""
+    """Every (E, p) satisfying the full cokernel universal property, over
+    the Z_n category: every p into the one apex the closed form of
+    ``_search_cokernel`` admits goes through the cone test. Refused, as its
+    ``_FiniteWorld`` is, for a ring that is not Z_n or is above the case
+    limit, before anything is searched."""
     return _search_cokernel(_FiniteWorld(f.dom.ring), f)
 
 

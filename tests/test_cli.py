@@ -259,10 +259,26 @@ def test_every_subcommand_matches_the_golden_digest():
 def _cli_child(*argv, timeout=30) -> subprocess.CompletedProcess:
     """The CLI in a child process with a timeout, for inputs that once hung
     or ended in a traceback."""
-    src = str(Path(idealcat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "idealcat.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=_child_env())
+
+
+def _child_env() -> dict:
+    src = str(Path(idealcat.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_output_into_a_closed_pipe_exits_141_without_a_traceback():
+    # `... | head -1` once ended in a BrokenPipeError traceback and exit 1.
+    # The listing, about 2 MB, overfills the pipe, so the child still writes
+    # after the reader has gone.
+    argv = ["homs", "--ring", "zmod:100000", "<1>", "<1>"]
+    with subprocess.Popen([sys.executable, "-m", "idealcat.cli", *argv], env=_child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert b"Traceback" not in proc.stderr.read()
 
 
 @pytest.mark.parametrize("max_abs", ["0", "-1"])

@@ -1188,26 +1188,42 @@ def test_counting_hom_sets_skips_most_cone_tests(monkeypatch):
     assert calls["universal"] <= 600, calls
 
 
+def test_a_biproduct_exists_exactly_when_the_intersection_is_zero():
+    # the rule's own condition, so no biproduct-converse entry can appear;
+    # the intersection is read from the elements, not from intersect
+    for n in range(2, 61):
+        w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+        for A, B in product(w.objects, repeat=2):
+            meet_in_zero = set(w.elements[A]) & set(w.elements[B]) == {0}
+            assert bool(verifier._search_biproduct(w, A, B)) == meet_in_zero, (A, B)
+
+
 def _unbounded_search_cokernel(w, f):
-    """The cokernel search as it was before apexes were counted out: every
-    map out of cod f goes through the cokernel predicate."""
+    """The cokernel search over every apex: every map out of cod f goes
+    through the cokernel predicate."""
     return [CokernelPair(E, p) for E in w.objects for p in w.hom[(f.cod, E)]
             if verifier._is_cokernel(w, f, E, p)]
 
 
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("n", [*range(2, 17), 24, 30, 36, 48, 60])
 def test_counting_killers_keeps_every_cokernel_the_unbounded_search_finds(n):
+    # (The name predates the closed-form apex.) Every map of Z_n has a
+    # cokernel: phi(e) pairs, all at the one ideal of order
+    # e = |cod f| / |im f|, orders counted from the elements.
     w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
-    found = 0
     for f in w.morphisms:
-        expected = _unbounded_search_cokernel(w, f)
-        assert search_cokernel(f) == expected, f
-        found += len(expected)
-    assert found  # every zero map has a cokernel, so the lists are not all empty
+        found = verifier._search_cokernel(w, f)
+        assert found == _unbounded_search_cokernel(w, f), f
+        if n <= 16:  # the public search builds a world per call
+            assert search_cokernel(f) == found, f
+        e = len(w.elements[f.cod]) // len({apply(f, x) for x in w.elements[f.dom]})
+        assert len(found) == sum(math.gcd(k, e) == 1 for k in range(e)), f
+        assert {len(w.elements[E]) for E, _ in found} == {e}, f
 
 
-def test_counting_killers_skips_most_cokernel_cone_tests(monkeypatch):
-    # audit_existence(zmod:12) ran 474 cone tests while every cokernel apex was tried
+def test_the_one_cokernel_apex_skips_most_cone_tests(monkeypatch):
+    # audit_existence(zmod:12) runs 174 cone tests at the one closed-form
+    # apex, and ran 474 while every cokernel apex was tried
     calls = Counter()
     universal, rule = verifier._universal, verifier.cokernel
 
