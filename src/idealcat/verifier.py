@@ -38,27 +38,25 @@ argument assumes, as every check does, that the laws and ``apply`` are
 deterministic functions of morphism values.
 
 Over Z_n every universal property is one cone test, ``_universal``, the
-zero object on the empty diagram included. It keys each cone by one int,
-settles each object by set operations on those keys, and walks the cones in
-order only at an object that the set test does not pass, so the miss it
-reports is the first one a walk over every object finds. A kernel or
-cokernel test hands it the map f whose killers are the cones that must be
-hit. The cokernel and the biproduct property are each one predicate,
-``_is_cokernel`` and ``_is_biproduct``, for the axiom checks, the searches
-and the existence audits alike. The audits put each construction a rule
-returns through it (a miss is a failure) and search Z_n exhaustively only
-where the rule refuses: a construction the search certifies there is a
-``discrepancy`` with a machine-checkable witness and does not fail the
-suite. The biproduct search first counts hom-sets: an apex with fewer maps
-into it (or out of it) at some object than there are cones there cannot be
-universal, by pigeonhole, so no legs are tried on it. The cokernel search
-tries one apex, the ideal of order |cod f| / |im f|, the only one a
-cokernel can have in L_(Z_n) (proof at ``_search_cokernel``). The world
-computes the composites it takes itself (cone counts, cancellation,
-idempotents, right divisors) as residues, ``_residue``, with no Fraction
-or Morphism built, and keeps the residues of every hom-set in a column per
-object, which the cone tests and cancellation read; the laws the checks
-test still go through ``w.laws``.
+zero object on the empty diagram included. It checks its legs once, keys
+each cone by one int, and at each object reports the first admitted cone,
+in product order, whose key is not hit exactly once; only that cone is
+built as maps. A kernel or cokernel test hands it the map f whose killers
+are the cones that must be hit. The cokernel and the biproduct property are
+each one predicate, ``_is_cokernel`` and ``_is_biproduct``, for the axiom
+checks, the searches and the existence audits alike. The audits put each
+construction a rule returns through it (a miss is a failure) and search
+Z_n only where the rule refuses: a construction the search certifies there
+is a ``discrepancy`` with a machine-checkable witness and does not fail the
+suite. Each search tries one apex, in closed form: the cokernel search the
+ideal of order |cod f| / |im f| (proof at ``_search_cokernel``), the
+biproduct search A + B, and none when A ∩ B != 0 (proof at
+``_search_biproduct``), so a pair the biproduct rule refuses is searched
+without a cone test. The world computes the composites it takes itself
+(cone counts, cancellation, idempotents, right divisors) as residues,
+``_residue``, with no Fraction or Morphism built, and keeps the residues of
+every hom-set in a column per object, which the cone tests and
+cancellation read; the laws the checks test still go through ``w.laws``.
 
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
@@ -90,7 +88,7 @@ from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import product
+from itertools import islice, product
 from typing import Callable
 
 from .constructions import (
@@ -608,14 +606,14 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
     lies below the modulus of their domain. So a cone is keyed by one int,
     its residues in mixed radix over those moduli, read from the world's
     columns, and a hit by the residues of its composites with the legs
-    (``_residue``). Set operations settle each C: it passes when no key is
-    hit twice and no cone hit zero times is admitted, where s kills f when
-    s k_f is 0 modulo the modulus of C (limit) or of dom f, as ``_residue``
-    reads it. Only a C that does not pass runs the ordered walk, which
-    visits the cones in the order of their product and returns the first
-    admitted one not hit exactly once. When the leg does not compose with f
-    every C runs it, and its admission, through ``_residue``, raises that
-    function's NotComposable at the first cone not hit exactly once.
+    (``_residue``). The legs are checked once, before any object: each must
+    meet the apex, and, given f, the leg must compose with f, or the test
+    raises the NotComposable ``_residue`` raises on that composite. At each
+    C the keys hit exactly once form a set (a Counter is built only when
+    some key is hit twice), and the answer is the first cone, in the order
+    of the product of the legs' hom-sets, that is admitted and not in that
+    set, where s kills f when s k_f is 0 modulo the modulus of C (limit) or
+    of dom f, as ``_residue`` reads it. Only that cone is built as maps.
     """
     columns = w.into if limit else w.out_of
     for leg in legs:  # the text _residue raises on the first composite
@@ -623,13 +621,12 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
             raise NotComposable(f"cod {apex} of f differs from dom {leg.dom} of g")
         if not limit and leg.cod != apex:
             raise NotComposable(f"cod {leg.cod} of f differs from dom {apex} of g")
+    if f is not None:  # raises when the leg does not compose with f
+        _residue(f, legs[0]) if limit else _residue(legs[0], f)
+        kf, mf = f.multiplier.num, f.dom._modulus
     ks = [leg.multiplier.num for leg in legs]
     # leg h (limit) or h leg has residue r k modulo the modulus of its domain
     ms = [leg.dom._modulus for leg in legs]
-    # a leg that does not compose with f leaves every C to the walk
-    settle = f is None or (legs[0].cod == f.dom if limit else f.cod == legs[0].dom)
-    if f is not None:
-        kf, mf = f.multiplier.num, f.dom._modulus
     for (C, rs, _), *cols in zip(columns[apex], *(columns[leg.cod if limit else leg.dom]
                                                    for leg in legs)):
         if limit:
@@ -644,15 +641,12 @@ def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: 
                 keys = [key + r * k % m * radix for key, r in zip(keys, rs)]
                 cones = [cone + s * radix for cone in cones for s in ss]
                 radix *= m
-        hit = set(keys)
-        if settle and len(hit) == len(rs) and (hit.issuperset(cones) if f is None else
-                                               all(s * kf % mf for s in cones if s not in hit)):
-            continue
-        hits = Counter(keys)
-        for key, cone in zip(cones, product(*(col[2] for col in cols))):
-            if hits[key] != 1 and (f is None or not (_residue(f, cone[0]) if limit
-                                                     else _residue(cone[0], f))):
-                return C, cone
+        once = set(keys)
+        if len(once) != len(keys):  # some key is hit twice
+            once = {key for key, hits in Counter(keys).items() if hits == 1}
+        for i, s in enumerate(cones):
+            if s not in once and (f is None or not s * kf % mf):
+                return C, next(islice(product(*(col[2] for col in cols)), i, None))
     return None
 
 
@@ -1268,30 +1262,28 @@ def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
 
 
 def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
-    """Every (P, p1, p2, i1, i2) whose two cones pass ``_universal``.
+    """Every (P, p1, p2, i1, i2) whose two cones pass ``_universal``, all at
+    one apex in closed form: P = A + B, the object of order |A| |B|, when
+    A ∩ B = 0, and none otherwise.
 
-    An apex P is skipped, before any pair of legs is tried, when at some
-    object C it has fewer maps in or out than there are cones there:
-    |hom(C, P)| < |hom(C, A)| |hom(C, B)| or |hom(P, C)| < |hom(A, C)|
-    |hom(B, C)|. This is the pigeonhole principle, not a heuristic. The maps
-    of one hom-set have distinct residues, so distinct cones have distinct
-    residue tuples and distinct keys in ``_universal``; with fewer maps than
-    cones some cone is hit no time, and ``_universal`` rejects every product
-    (or every coproduct) with apex P, whatever ``compose`` returns. A skipped
-    P adds nothing to the list the unbounded loop builds.
+    Proof: L_R is preadditive, so a product (or coproduct) of A and B is a
+    biproduct (Mac Lane, CWM VIII.2, Thm 2). Its equations, p_i i_j = δ_ij and
+    i1 p1 + i2 p2 = 1, hold in Z_n-Mod as well, since L_R is a full
+    subcategory with the same addition, so P ≅ A ⊕ B. That module is cyclic
+    only when gcd(|A|, |B|) = 1, that is when A ∩ B, the ideal of order
+    gcd(|A|, |B|), is 0, and then its order is |A| |B|. Z_n has one ideal of
+    each order, so no other apex has a product or a coproduct cone. Every
+    pair of legs at P still goes through ``_universal``.
     """
-    found = []
-    for P in w.objects:
-        if any(len(w.hom[(C, P)]) < len(w.hom[(C, A)]) * len(w.hom[(C, B)])
-               or len(w.hom[(P, C)]) < len(w.hom[(A, C)]) * len(w.hom[(B, C)])
-               for C in w.objects):
-            continue
-        products = [(p1, p2) for p1, p2 in product(w.hom[(P, A)], w.hom[(P, B)])
-                    if _universal(w, P, (p1, p2), True) is None]
-        coproducts = [(i1, i2) for i1, i2 in product(w.hom[(A, P)], w.hom[(B, P)])
-                      if _universal(w, P, (i1, i2), False) is None]
-        found += [Biproduct(P, *ps, *cs) for ps in products for cs in coproducts]
-    return found
+    if not intersect(A, B).is_zero:
+        return []
+    order = A._modulus * B._modulus
+    P = next(P for P in w.objects if P._modulus == order)
+    products = [(p1, p2) for p1, p2 in product(w.hom[(P, A)], w.hom[(P, B)])
+                if _universal(w, P, (p1, p2), True) is None]
+    coproducts = [(i1, i2) for i1, i2 in product(w.hom[(A, P)], w.hom[(B, P)])
+                  if _universal(w, P, (i1, i2), False) is None]
+    return [Biproduct(P, *ps, *cs) for ps in products for cs in coproducts]
 
 
 def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:

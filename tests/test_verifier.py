@@ -1190,12 +1190,49 @@ def test_counting_hom_sets_skips_most_cone_tests(monkeypatch):
 
 def test_a_biproduct_exists_exactly_when_the_intersection_is_zero():
     # the rule's own condition, so no biproduct-converse entry can appear;
-    # the intersection is read from the elements, not from intersect
+    # intersections and sums are read from the elements, not from intersect.
+    # Where A ∩ B != 0, hom-set sizes alone rule out every apex P: at some C,
+    # hom(C, P) has fewer maps than there are cones (C -> A, C -> B), and the
+    # maps of one hom-set have distinct residues, so some cone is hit no time
     for n in range(2, 61):
         w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+        size = {key: len(homset) for key, homset in w.hom.items()}
         for A, B in product(w.objects, repeat=2):
-            meet_in_zero = set(w.elements[A]) & set(w.elements[B]) == {0}
-            assert bool(verifier._search_biproduct(w, A, B)) == meet_in_zero, (A, B)
+            found = verifier._search_biproduct(w, A, B)
+            if set(w.elements[A]) & set(w.elements[B]) != {0}:
+                assert found == [], (A, B)
+                assert all(any(size[(C, P)] < size[(C, A)] * size[(C, B)] for C in w.objects)
+                           for P in w.objects), (A, B)
+            else:
+                total = {(x + y) % n for x in w.elements[A] for y in w.elements[B]}
+                assert found, (A, B)
+                assert all(set(w.elements[bp.object]) == total for bp in found), (A, B)
+
+
+def _cone_totals(n):
+    """(Σ over maps f of the cokernels found, Σ over pairs (A, B) of the
+    biproducts found) in L_(Z_n)."""
+    w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
+    return (sum(len(verifier._search_cokernel(w, f)) for f in w.morphisms),
+            sum(len(verifier._search_biproduct(w, A, B))
+                for A, B in product(w.objects, repeat=2)))
+
+
+# the prime powers exactly dividing n
+PRIME_POWER_COMPONENTS = {6: (2, 3), 12: (4, 3), 36: (4, 9), 60: (4, 3, 5), 72: (8, 9),
+                          90: (2, 9, 5)}
+
+
+@pytest.mark.parametrize("n", PRIME_POWER_COMPONENTS)
+def test_cone_totals_are_the_products_of_those_of_the_prime_power_components(n):
+    # Z_n is the product of the Z_q over the prime powers q exactly dividing n,
+    # so L_(Z_n) is the product of the L_(Z_q): maps, pairs of objects,
+    # cokernels and biproducts are tuples of components, and each total over
+    # Z_n is the product of the totals over the Z_q
+    components = PRIME_POWER_COMPONENTS[n]
+    assert math.prod(components) == n
+    totals = [_cone_totals(q) for q in components]
+    assert _cone_totals(n) == tuple(math.prod(column) for column in zip(*totals))
 
 
 def _unbounded_search_cokernel(w, f):
@@ -1302,18 +1339,19 @@ def test_residue_cone_counts_match_the_morphism_building_count(n):
 
 
 def test_set_operations_settle_every_object_of_a_passing_cone_test(monkeypatch):
-    # the ordered walk counts its hits with a Counter; no universal property fails
-    # over zmod:12, so every object is settled by the set test and none is walked
-    walks = Counter()
+    # a cone test counts its hits with a Counter only at an object where some
+    # key is hit twice; no universal property fails over zmod:12, so no object
+    # of any cone test needs one
+    built = Counter()
 
     def counted(keys):
-        walks["walk"] += 1
+        built["Counter"] += 1
         return Counter(keys)
 
     monkeypatch.setattr(verifier, "Counter", counted)
     report = check_axioms(ModularRing(12))
     assert all(c.status == "pass" for c in report.checks)
-    assert walks["walk"] == 0, walks
+    assert built["Counter"] == 0, built
 
 
 def _kernel_leg_out_of_the_domain(f):
@@ -1327,12 +1365,21 @@ def _kernel_leg_into_the_ring(f):
     return KernelPair(K, zero_morphism(K, ideal_new(f.dom.ring, [1])))
 
 
+def _kernel_leg_an_isomorphism(f):
+    """kernel whose leg is the identity of its object, not a map into dom f:
+    it factors every cone exactly once, so no cone is missed."""
+    K = kernel(f).object
+    return KernelPair(K, identity(K))
+
+
 @pytest.mark.parametrize("planted, error", [
-    # a leg whose dom is not the apex raises while the hits are counted
+    # a leg whose dom is not the apex raises before any object is tested
     (_kernel_leg_out_of_the_domain, "NotComposable: cod <1> of f differs from dom <0> of g"),
-    # a leg whose cod is not dom f raises when a missed cone is tested
+    # a leg whose cod is not dom f raises before any object is tested
     (_kernel_leg_into_the_ring, "NotComposable: cod <1> of f differs from dom <0> of g"),
-], ids=["dom-not-apex", "cod-not-dom-f"])
+    # and so does one that misses no cone: the identity of the apex
+    (_kernel_leg_an_isomorphism, "NotComposable: cod <0> of f differs from dom <1> of g"),
+], ids=["dom-not-apex", "cod-not-dom-f", "iso-leg"])
 def test_non_composable_kernel_legs_fail_kernel_universal_with_compose_error(planted, error):
     report = check_axioms(ModularRing(12), laws=replace(STANDARD_LAWS, kernel=planted))
     assert {c.name: c.witness for c in report.checks}["kernel-universal"] == {"error": error}
