@@ -92,7 +92,7 @@ def cokernel(f: Morphism) -> CokernelPair:
         trivial = zero_object(f.dom.ring)
         return CokernelPair(trivial, zero_morphism(f.cod, trivial))
     raise CokernelDoesNotExist(
-        f"{f.literal} is neither zero nor surjective (image {im}, codomain {f.cod})"
+        f"{f} is neither zero nor surjective (image {im}, codomain {f.cod})"
     )
 
 
@@ -164,8 +164,8 @@ def split_idempotent(e: Morphism) -> Splitting:
     endomorphism's object.
     """
     if e.dom != e.cod:
-        raise NotIdempotent(f"{e.literal} is not an endomorphism")
+        raise NotIdempotent(f"{e} is not an endomorphism")
     if compose(e, e) != e:
-        raise NotIdempotent(f"{e.literal} composed with itself differs from itself")
+        raise NotIdempotent(f"{e} composed with itself differs from itself")
     q, j = canonical_factorization(e)
     return Splitting(q.cod, q, j)

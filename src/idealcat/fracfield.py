@@ -31,6 +31,7 @@ then both parts are parenthesized: ``(x+1)/(x-1)``.
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .errors import FractionOverNonDomain, ParseError, RingMismatch, ZeroDenominator
 from .rings import Ring, RingElement
@@ -46,7 +47,7 @@ class Fraction:
 
     def __init__(self, ring: Ring, num: RingElement, den: RingElement):
         if den != 1 and not ring.is_domain:  # a Z_n fraction pays one int comparison
-            raise FractionOverNonDomain(f"denominator {den} over {ring}")
+            raise FractionOverNonDomain(f"denominator {ring.describe_element(den)} over {ring}")
         self.ring = ring
         self.num = num
         self.den = den
@@ -118,7 +119,8 @@ class Fraction:
         return f"Fraction({self.ring.literal}, {format_fraction(self)!r})"
 
     def __str__(self) -> str:
-        return format_fraction(self)
+        """The literal, or in messages a description where the literal is refused."""
+        return _render(self, self.ring.describe_element)
 
 
 def _sum(r: Ring, a, b, c, d) -> Fraction:
@@ -179,12 +181,16 @@ def fraction_reduce(ring: Ring, num, den) -> Fraction:
 
 
 def format_fraction(f: Fraction) -> str:
-    ring = f.ring
+    return _render(f, f.ring.format_element)
+
+
+def _render(f: Fraction, element: Callable) -> str:
+    """``p`` or ``p/q``, with num and den rendered by ``element``."""
     if f.is_integral:
-        return ring.format_element(f.num)
-    if ring.parenthesized_fractions:
-        return f"({ring.format_element(f.num)})/({ring.format_element(f.den)})"
-    return f"{ring.format_element(f.num)}/{ring.format_element(f.den)}"
+        return element(f.num)
+    if f.ring.parenthesized_fractions:
+        return f"({element(f.num)})/({element(f.den)})"
+    return f"{element(f.num)}/{element(f.den)}"
 
 
 def parse_fraction(ring: Ring, text: str) -> Fraction:

@@ -58,7 +58,7 @@ from .errors import (
     NotInDomain,
     RingMismatch,
 )
-from .fracfield import Fraction, fraction_reduce
+from .fracfield import Fraction, format_fraction, fraction_reduce
 from .rings import MAX_OBJECT_MODULUS, Ring, RingElement, canonical_generator  # noqa: F401
 
 FULL = "full"
@@ -149,7 +149,8 @@ class Ideal(_Value):
         return f"<{self.ring.format_element(self.generator)}>"
 
     def __str__(self) -> str:
-        return self.literal
+        """The literal, or in messages a description where the literal is refused."""
+        return f"<{self.ring.describe_element(self.generator)}>"
 
 
 class Morphism(_Value):
@@ -182,10 +183,13 @@ class Morphism(_Value):
     @property
     def literal(self) -> str:
         fmt = self.dom.ring.format_element
-        return f"rho({fmt(self.dom.generator)};{self.multiplier};{fmt(self.cod.generator)})"
+        return (f"rho({fmt(self.dom.generator)};{format_fraction(self.multiplier)};"
+                f"{fmt(self.cod.generator)})")
 
     def __str__(self) -> str:
-        return self.literal
+        """The literal, or in messages a description where the literal is refused."""
+        desc = self.dom.ring.describe_element
+        return f"rho({desc(self.dom.generator)};{self.multiplier};{desc(self.cod.generator)})"
 
     def __add__(self, other: Morphism) -> Morphism:
         return hom_add(self, other)
@@ -381,7 +385,7 @@ def apply(f: Morphism, x: RingElement) -> RingElement:
             return x * s.num % n
     elif contains_element(f.dom, x):
         return ring.exact_div(ring.mul(x, s.num), s.den)
-    raise NotInDomain(f"{ring.format_element(x)} is not in {f.dom}")
+    raise NotInDomain(f"{ring.describe_element(x)} is not in {f.dom}")
 
 
 def image(f: Morphism) -> Ideal:
@@ -435,7 +439,7 @@ def ideal_elements(A: Ideal) -> tuple[int, ...]:
         raise InfiniteObjectClass(f"cannot list elements of an ideal of {A.ring}")
     step = A.generator or n
     if n // step > MAX_HOM_LISTING:
-        raise ListingTooLarge(f"{A.literal} over {A.ring.literal} has {n // step} elements, "
+        raise ListingTooLarge(f"{A} over {A.ring} has {n // step} elements, "
                               f"above the listing limit {MAX_HOM_LISTING}")
     return tuple(range(0, n, step))
 
@@ -465,7 +469,7 @@ def enumerate_hom(A: Ideal, B: Ideal, mode: str = FULL) -> HomSet:
         base = (b // ring.gcd(a, b)) % m if b else 0
         step = math.gcd(base, m)
         if m // step > MAX_HOM_LISTING:
-            raise ListingTooLarge(f"Hom({A.literal}, {B.literal}) has {m // step} morphisms, "
+            raise ListingTooLarge(f"Hom({A}, {B}) has {m // step} morphisms, "
                                   f"above the listing limit {MAX_HOM_LISTING}")
         elements = tuple(  # the multiples of base modulo m
             _raw_morphism(A, B, Fraction(ring, s, ring.one)) for s in range(0, m, step))

@@ -27,6 +27,18 @@ RingElement = int | Poly
 MAX_OBJECT_MODULUS = 10**12
 
 
+def _decimal_digits(a: int) -> int:
+    """The number of decimal digits of |a|, without str(), which refuses
+    more than sys.get_int_max_str_digits() of them."""
+    m = abs(a)
+    # 0.30102999 < log10(2), so 10^k <= m; the loop adds the one or two digits short
+    k = (max(m.bit_length(), 1) - 1) * 30102999 // 10**8
+    power = 10 ** (k + 1)
+    while power <= m:
+        k, power = k + 1, power * 10
+    return k + 1
+
+
 class Ring:
     """Arithmetic backend descriptor; subclasses fix the element type.
 
@@ -85,7 +97,15 @@ class Ring:
         try:
             return str(a)
         except ValueError:
-            raise ParseError(f"{self.literal} element with too many digits for a literal") from None
+            raise ParseError(f"{self} element with too many digits for a literal") from None
+
+    def describe_element(self, a) -> str:
+        """The literal of a, or where format_element refuses it a short
+        description; error messages render elements by this, which never raises."""
+        try:
+            return self.format_element(a)
+        except ParseError:
+            return f"an integer of {_decimal_digits(a)} digits"
 
 
 class IntegerRing(Ring):
@@ -172,6 +192,13 @@ class ModularRing(Ring):
     def literal(self) -> str:
         return f"zmod:{self.modulus}"
 
+    def __str__(self) -> str:
+        """The literal, or in messages a description where str() refuses the modulus."""
+        try:
+            return self.literal
+        except ValueError:
+            return f"zmod:<{_decimal_digits(self.modulus)} digits>"
+
     def coerce(self, value) -> int:
         if type(value) is int:
             return value % self.modulus
@@ -216,7 +243,7 @@ class ModularRing(Ring):
         n above MAX_OBJECT_MODULUS raises ListingTooLarge."""
         n = self.modulus
         if n > MAX_OBJECT_MODULUS:
-            raise ListingTooLarge(f"{self.literal} has a modulus above the limit "
+            raise ListingTooLarge(f"{self} has a modulus above the limit "
                                   f"{MAX_OBJECT_MODULUS} for listing its ideals")
         small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
         return sorted({d % n for s in small for d in (s, n // s)})
@@ -293,6 +320,12 @@ class RationalPolynomialRing(Ring):
         if a.degree > MAX_LITERAL_DEGREE:
             raise ParseError(f"degree {a.degree} is above the literal limit {MAX_LITERAL_DEGREE}")
         return super().format_element(a)
+
+    def describe_element(self, a: Poly) -> str:
+        try:
+            return self.format_element(a)
+        except ParseError:
+            return f"a polynomial of degree {a.degree}"
 
     def random_element(self, rng, max_abs: int, max_degree: int) -> Poly:
         # coefficients come from fixed ranges; max_abs bounds integers only

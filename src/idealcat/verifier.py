@@ -46,17 +46,18 @@ are the cones that must be hit. The cokernel and the biproduct property are
 each one predicate, ``_is_cokernel`` and ``_is_biproduct``, for the axiom
 checks, the searches and the existence audits alike. The audits put each
 construction a rule returns through it (a miss is a failure) and search
-Z_n only where the rule refuses: a construction the search certifies there
-is a ``discrepancy`` with a machine-checkable witness and does not fail the
-suite. Each search tries one apex, in closed form: the cokernel search the
-ideal of order |cod f| / |im f| (proof at ``_search_cokernel``), the
-biproduct search A + B, and none when A ∩ B != 0 (proof at
-``_search_biproduct``), so a pair the biproduct rule refuses is searched
-without a cone test. The world computes the composites it takes itself
-(cone counts, cancellation, idempotents, right divisors) as residues,
-``_residue``, with no Fraction or Morphism built, and keeps the residues of
-every hom-set in a column per object, which the cone tests and
-cancellation read; the laws the checks test still go through ``w.laws``.
+Z_n only at the maps the cokernel rule refuses: a cokernel the search
+certifies there is a ``discrepancy`` with a machine-checkable witness and
+does not fail the suite. Each search tries one apex, in closed form: the
+cokernel search the ideal of order |cod f| / |im f| (proof at
+``_search_cokernel``), the biproduct search A + B, and none when A ∩ B != 0
+(proof at ``_search_biproduct``), so a pair the biproduct rule refuses has
+no biproduct, and the audits do not search it. The world computes the
+composites it takes itself (cone counts, cancellation, idempotents, right
+divisors) as residues, ``_residue``, with no Fraction or Morphism built,
+and keeps the residues of every hom-set in a column per object, which the
+cone tests and cancellation read; the laws the checks test still go
+through ``w.laws``.
 
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
@@ -155,8 +156,8 @@ class Bounds:
     ``max_abs`` bounds sampled integer generators and multiplier factors
     over ``z`` (``qpoly`` draws its coefficients from fixed ranges),
     ``samples`` the number of sampled cases per check over the infinite
-    backends, and ``search_ceiling`` the largest modulus for which the
-    exhaustive cokernel/biproduct searches run during verify_ring.
+    backends, and ``search_ceiling`` the largest modulus for which
+    verify_ring runs the existence audits.
     """
 
     seed: int = 0
@@ -322,7 +323,7 @@ def brute_force_hom_set(A: Ideal, B: Ideal) -> list[FunctionTable]:
     xs = ideal_elements(A)  # k*a for k in range(n/a), in order
     entries = len(xs) * len(ys)
     if entries > MAX_VERIFY_CASES:
-        raise ListingTooLarge(f"the hom tables {A} -> {B} over {ring.literal} take {entries} "
+        raise ListingTooLarge(f"the hom tables {A} -> {B} over {ring} take {entries} "
                               f"entries, above the limit {MAX_VERIFY_CASES}")
     tables = []
     for y in ys:
@@ -374,7 +375,7 @@ class _FiniteWorld:
     def __init__(self, ring: Ring, laws: LawTable = STANDARD_LAWS):
         cases = _composition_cases(_require_finite(ring))
         if cases > MAX_VERIFY_CASES:
-            raise ListingTooLarge(f"verifying {ring.literal} takes at least {cases} composition "
+            raise ListingTooLarge(f"verifying {ring} takes at least {cases} composition "
                                   f"cases, above the limit {MAX_VERIFY_CASES}")
         self.ring = ring
         self.laws = laws
@@ -1294,12 +1295,14 @@ def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
 
 
 def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[CheckResult]:
-    """Compare the cokernel and biproduct rules against exhaustive searches.
+    """Compare the cokernel and biproduct rules against the Z_n category.
 
     Constructions the rules return must pass the predicate the search lists
-    by, which the axiom checks use too (a miss is a failure); inputs the
-    rules refuse are searched, and constructions found there are emitted as
-    ``discrepancy`` entries with the witnesses.
+    by, which the axiom checks use too (a miss is a failure). Maps the
+    cokernel rule refuses are searched, and cokernels found there are
+    emitted as ``discrepancy`` entries with the witnesses. Pairs the
+    biproduct rule refuses are not searched: A ∩ B != 0 there, and then no
+    biproduct exists (proof at ``_search_biproduct``).
 
     The audits run on ``world`` when given, a ``_FiniteWorld`` of this ring
     with any laws: they read the world's cokernel sweep and biproduct
@@ -1328,29 +1331,12 @@ def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[Ch
                 },
             ))
 
-    agreement = None
-    pairs_found: list[tuple[Ideal, Ideal, int]] = []
-    for i, A in enumerate(w.objects):
-        for B in w.objects[i:]:
-            if not intersect(A, B).is_zero:
-                found = _search_biproduct(w, A, B)
-                if found:
-                    pairs_found.append((A, B, len(found)))
-            elif agreement is None and not w.is_biproduct(A, B, biproduct(A, B)):
-                agreement = {"A": A.literal, "B": B.literal,
-                             "law": "constructed biproduct fails the search"}
+    agreement = next(
+        ({"A": A.literal, "B": B.literal, "law": "constructed biproduct fails the search"}
+         for i, A in enumerate(w.objects) for B in w.objects[i:]
+         if intersect(A, B).is_zero and not w.is_biproduct(A, B, biproduct(A, B))),
+        None)
     entries.append(_verdict("biproduct-rule-agreement", agreement))
-    for A, B, count in pairs_found:
-        entries.append(CheckResult(
-            f"biproduct-converse[({A.literal},{B.literal})]",
-            "discrepancy",
-            {
-                "pair": [A.literal, B.literal],
-                "rule": "refused: nontrivial intersection",
-                "found": count,
-                "certificate": "tuples satisfy both universal properties exhaustively",
-            },
-        ))
     return entries
 
 

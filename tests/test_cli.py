@@ -18,6 +18,8 @@ from idealcat import cli
 from idealcat.cli import _COMMANDS, main
 from idealcat.errors import ParseError, RingMismatch
 from idealcat.formats import (
+    format_ideal,
+    format_morphism,
     ideal_from_json,
     ideal_to_json,
     morphism_from_json,
@@ -313,6 +315,20 @@ def test_compose_refuses_to_render_a_degree_above_the_literal_limit():
     assert "above the literal limit 4096" in json.loads(proc.stdout)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("cokernel", "--ring", "z", f"rho(1{'0' * 4000};1{'0' * 4000};1)"), "CokernelDoesNotExist"),
+    (("biproduct", "--ring", "z", f"<{'9' * 3000}>", f"<1{'0' * 2999}1>"),
+     "NontrivialIntersection"),
+    (("cokernel", "--ring", "qpoly", "rho(x^3000;x^3000;1)"), "CokernelDoesNotExist"),
+], ids=["z-cokernel", "z-biproduct", "qpoly-cokernel"])
+def test_a_refusal_of_values_too_long_to_print_keeps_its_type(run_cli, argv, error):
+    # The message renders the image, of 8,001 digits or degree 6000, or the
+    # meet of two 3,000-digit ideals, of 6,000 digits; rendering it once
+    # raised ParseError, which replaced the refusal and exited 1.
+    code, out = run_cli(*argv, "--json")
+    assert (code, json.loads(out)["error"]["type"]) == (2, error)
+
+
 @pytest.mark.parametrize("argv, message", [
     (("homs", "--ring", "zmod:100000000", "<1>", "<1>"), "above the listing limit 100000"),
     (("oracle", "--ring", "zmod:2000", "<1>", "<1>"), "modulus of at most 128"),
@@ -383,6 +399,7 @@ def test_ideal_round_trip(ring_lit, ideal_lit):
     ring = ring_from_literal(ring_lit)
     A = parse_ideal(ring, ideal_lit)
     assert parse_ideal(ring, A.literal) == A
+    assert parse_ideal(ring, format_ideal(A)) == A
     assert ideal_from_json(ideal_to_json(A)) == A
 
 
@@ -404,6 +421,7 @@ def test_morphism_round_trip(ring_lit, morphism_lit):
     ring = ring_from_literal(ring_lit)
     f = parse_morphism(ring, morphism_lit)
     assert parse_morphism(ring, f.literal) == f
+    assert parse_morphism(ring, format_morphism(f)) == f
     assert morphism_from_json(morphism_to_json(f)) == f
 
 

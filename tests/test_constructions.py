@@ -14,7 +14,11 @@ from idealcat.errors import (
     CokernelDoesNotExist,
     HomMismatch,
     NontrivialIntersection,
+    NotASubideal,
+    NotComposable,
     NotIdempotent,
+    NotInDomain,
+    ParseError,
     RingMismatch,
 )
 from idealcat.ideals import (
@@ -231,3 +235,33 @@ def test_constructions_over_polynomials():
     assert E.is_zero
     bp = biproduct(ideal_new(QX), x1)
     assert bp.object == x1
+
+
+# 5,001 digits: above sys.get_int_max_str_digits(), so no literal renders it
+HUGE = 10**5000
+HUGE_A, HUGE_B = ideal_new(Z, [HUGE]), ideal_new(Z, [HUGE + 1])
+
+
+@pytest.mark.parametrize("refusal, error", [
+    (lambda: cokernel(morphism_new(HUGE_A, HUGE_A, 2)), CokernelDoesNotExist),
+    (lambda: biproduct(HUGE_A, ideal_new(Z, [2 * HUGE])), NontrivialIntersection),
+    (lambda: inclusion(HUGE_A, HUGE_B), NotASubideal),
+    (lambda: split_idempotent(morphism_new(HUGE_A, HUGE_B, 0)), NotIdempotent),
+    (lambda: compose(identity(HUGE_A), identity(HUGE_B)), NotComposable),
+    (lambda: apply(identity(HUGE_A), HUGE + 1), NotInDomain),
+], ids=["cokernel", "biproduct", "inclusion", "split_idempotent", "compose", "apply"])
+def test_a_refusal_keeps_its_type_when_its_values_are_too_long_to_print(refusal, error):
+    # the message once rendered literals, whose ParseError replaced the refusal
+    with pytest.raises(error, match="an integer of 5001 digits"):
+        refusal()
+
+
+def test_a_value_too_long_to_print_has_no_literal_but_a_description():
+    f = morphism_new(HUGE_A, HUGE_A, HUGE)
+    for value in (HUGE_A, f):
+        with pytest.raises(ParseError):
+            value.literal
+    assert str(HUGE_A) == "<an integer of 5001 digits>"
+    assert str(f) == "rho({0};{0};{0})".format("an integer of 5001 digits")
+    big = ideal_new(QX, [parse_poly("x^4096")])
+    assert str(image(morphism_new(big, big, parse_poly("x")))) == "<a polynomial of degree 4097>"

@@ -198,6 +198,9 @@ def test_modular_divides_matches_scan(a, b):
 def test_ideal_generators_refuse_a_modulus_above_the_limit():
     with pytest.raises(ListingTooLarge, match=f"above the limit {MAX_OBJECT_MODULUS} "):
         ModularRing(MAX_OBJECT_MODULUS + 1).ideal_generators()
+    # a modulus too long to print once raised ValueError from the message
+    with pytest.raises(ListingTooLarge, match="^zmod:<5001 digits> has a modulus"):
+        ModularRing(10**5000).ideal_generators()
     # trial division up to sqrt(10^23) runs for hours, so the direct call is
     # made in a child process that a timeout can stop
     code = ("from idealcat.errors import ListingTooLarge\n"
