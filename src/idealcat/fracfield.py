@@ -116,7 +116,8 @@ class Fraction:
         return hash((self.num, self.den))  # equal fractions share a ring
 
     def __repr__(self) -> str:
-        return f"Fraction({self.ring.literal}, {format_fraction(self)!r})"
+        """The ring and the literal, each described where too long to print."""
+        return f"Fraction({self.ring}, {str(self)!r})"
 
     def __str__(self) -> str:
         """The literal, or in messages a description where the literal is refused."""

@@ -81,13 +81,11 @@ MAX_VERIFY_CASES = 2 * 10**7
 class _Value:
     """An immutable value: __init__, or a trusted builder of this module,
     fills each slot once, and then setting or deleting an attribute raises
-    AttributeError. repr shows the fields equality compares, ``_shown``.
-    __reduce__ rebuilds through __init__ from its arguments, ``_fields``, so
-    copy, deepcopy and pickle work despite __setattr__, and slots derived
-    from them are computed afresh."""
+    AttributeError. __reduce__ rebuilds through __init__ from its arguments,
+    ``_fields``, so copy, deepcopy and pickle work despite __setattr__, and
+    slots derived from them are computed afresh."""
 
     __slots__ = ()
-    _shown: tuple[str, ...]
     _fields: tuple[str, ...]
 
     def __setattr__(self, name, value):
@@ -95,10 +93,6 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -116,7 +110,6 @@ class Ideal(_Value):
 
     _fields = ("ring", "generator", "given_generators")
     __slots__ = (*_fields, "_modulus", "_hash")
-    _shown = ("ring", "generator")
 
     def __init__(self, ring: Ring, generator: RingElement, given_generators: tuple = ()):
         canonical = ring.canonical(generator)
@@ -152,12 +145,20 @@ class Ideal(_Value):
         """The literal, or in messages a description where the literal is refused."""
         return f"<{self.ring.describe_element(self.generator)}>"
 
+    def __repr__(self) -> str:
+        """The fields equality compares; a generator too long for repr() is described."""
+        try:
+            generator = repr(self.generator)
+        except ValueError:
+            generator = f"<{self.ring.describe_element(self.generator)}>"
+        return f"Ideal(ring={self.ring!r}, generator={generator})"
+
 
 class Morphism(_Value):
     """The map x -> x * multiplier from dom to cod, multiplier canonical and
     over the ring of dom, so equality and hash read its num and den."""
 
-    __slots__ = _shown = _fields = ("dom", "cod", "multiplier")
+    __slots__ = _fields = ("dom", "cod", "multiplier")
 
     def __init__(self, dom: Ideal, cod: Ideal, multiplier: Fraction):
         _set_dom(self, dom)
@@ -190,6 +191,9 @@ class Morphism(_Value):
         """The literal, or in messages a description where the literal is refused."""
         desc = self.dom.ring.describe_element
         return f"rho({desc(self.dom.generator)};{self.multiplier};{desc(self.cod.generator)})"
+
+    def __repr__(self) -> str:
+        return f"Morphism(dom={self.dom!r}, cod={self.cod!r}, multiplier={self.multiplier!r})"
 
     def __add__(self, other: Morphism) -> Morphism:
         return hom_add(self, other)

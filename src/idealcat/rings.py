@@ -186,16 +186,24 @@ class ModularRing(Ring):
         return (type(self).__name__, self.modulus)
 
     def __repr__(self) -> str:
-        return f"ModularRing({self.modulus})"
+        """ModularRing(n), or with a description where str() refuses n."""
+        try:
+            return f"ModularRing({self.modulus})"
+        except ValueError:
+            return f"ModularRing(<{self.describe_element(self.modulus)}>)"
 
     @property
     def literal(self) -> str:
-        return f"zmod:{self.modulus}"
+        """zmod:n, or a ParseError where n has more digits than str() renders."""
+        try:
+            return f"zmod:{self.modulus}"
+        except ValueError:
+            raise ParseError(f"{self} has a modulus too long for a literal") from None
 
     def __str__(self) -> str:
         """The literal, or in messages a description where str() refuses the modulus."""
         try:
-            return self.literal
+            return f"zmod:{self.modulus}"
         except ValueError:
             return f"zmod:<{_decimal_digits(self.modulus)} digits>"
 

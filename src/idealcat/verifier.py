@@ -37,27 +37,28 @@ case, so a report, passing or failing, is the one the full loops give. The
 argument assumes, as every check does, that the laws and ``apply`` are
 deterministic functions of morphism values.
 
-Over Z_n every universal property is one cone test, ``_universal``, the
-zero object on the empty diagram included. It checks its legs once, keys
-each cone by one int, and at each object reports the first admitted cone,
-in product order, whose key is not hit exactly once; only that cone is
-built as maps. A kernel or cokernel test hands it the map f whose killers
-are the cones that must be hit. The cokernel and the biproduct property are
-each one predicate, ``_is_cokernel`` and ``_is_biproduct``, for the axiom
-checks, the searches and the existence audits alike. The audits put each
-construction a rule returns through it (a miss is a failure) and search
-Z_n only at the maps the cokernel rule refuses: a cokernel the search
-certifies there is a ``discrepancy`` with a machine-checkable witness and
-does not fail the suite. Each search tries one apex, in closed form: the
-cokernel search the ideal of order |cod f| / |im f| (proof at
-``_search_cokernel``), the biproduct search A + B, and none when A ∩ B != 0
-(proof at ``_search_biproduct``), so a pair the biproduct rule refuses has
-no biproduct, and the audits do not search it. The world computes the
-composites it takes itself (cone counts, cancellation, idempotents, right
-divisors) as residues, ``_residue``, with no Fraction or Morphism built,
-and keeps the residues of every hom-set in a column per object, which the
-cone tests and cancellation read; the laws the checks test still go
-through ``w.laws``.
+Over Z_n a kernel and a cokernel are each tested by one cone test,
+``_universal``: given the map f and one leg, it keys each killer of f and
+each hit by one int, a residue, and at each object reports the first killer
+whose key is not hit exactly once; only that map is read back. A biproduct
+is tested by its five identities, p_i i_j = δ_ij and i1 p1 + i2 p2 = 1,
+which in a preadditive category make both cones universal; the zero object
+by counting one map into and one out of each object. The cokernel and the
+biproduct property are each one predicate, ``_is_cokernel`` and
+``_is_biproduct``, for the axiom checks, the searches and the existence
+audits alike. The audits put each construction a rule returns through it
+(a miss is a failure) and search Z_n only at the maps the cokernel rule
+refuses: a cokernel the search certifies there is a ``discrepancy`` with a
+machine-checkable witness and does not fail the suite. Each search tries
+one apex, in closed form: the cokernel search the ideal of order
+|cod f| / |im f| (proof at ``_search_cokernel``), the biproduct search
+A + B, and none when A ∩ B != 0 (proof at ``_search_biproduct``), so a pair
+the biproduct rule refuses has no biproduct, and the audits do not search
+it. The world computes the composites it takes itself (cone counts,
+biproduct identities, cancellation, idempotents, right divisors) as
+residues, ``_residue``, with no Fraction or Morphism built, and keeps the
+residues of every hom-set in a column per object, which the cone tests and
+cancellation read; the laws the checks test still go through ``w.laws``.
 
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
@@ -69,10 +70,8 @@ and so does the size of its tables, |A| |B|, by the same count.
 ``w.laws``, only residues and the standard ``cokernel`` and ``biproduct``.
 The world runs the cokernel rule over every morphism once
 (``cokernel_sweep``: the first pair that fails ``_is_cokernel`` and every
-map the rule refuses), and keeps the verdict of ``_is_biproduct`` for each
-biproduct it is asked about, so ``cokernel-universal`` and
-``cokernel-rule-agreement``, and ``biproduct-laws`` and
-``biproduct-rule-agreement``, share one computation each.
+map the rule refuses), so ``cokernel-universal`` and
+``cokernel-rule-agreement`` share one computation.
 
 ``law_mutations`` documents five single-law defects (composition,
 addition, kernel, factorization image, splitting corestriction); each is
@@ -89,7 +88,7 @@ from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import islice, product
+from itertools import product
 from typing import Callable
 
 from .constructions import (
@@ -395,7 +394,6 @@ class _FiniteWorld:
         self.elements = {A: ideal_elements(A) for A in self.objects}
         self.members = {key: frozenset(homset) for key, homset in self.hom.items()}
         self.settled: dict[Callable, dict | None] = {}
-        self.biproduct_verdicts: dict[tuple, bool] = {}
 
     def certifies(self, *laws: Callable) -> bool:
         """Whether P1 and then each premise or law pass on the generator
@@ -483,13 +481,6 @@ class _FiniteWorld:
             if witness is None and not _is_cokernel(self, f, E, p):
                 witness = {"f": f.literal, "cokernel": E.literal, "law": "universal property"}
         return witness, refused
-
-    def is_biproduct(self, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
-        """``_is_biproduct``, run once per (A, B, bp) in this world."""
-        key = (A, B, bp)
-        if key not in self.biproduct_verdicts:
-            self.biproduct_verdicts[key] = _is_biproduct(self, A, B, bp)
-        return self.biproduct_verdicts[key]
 
 
 class _SampledWorld:
@@ -589,65 +580,48 @@ def _residue(g: Morphism, f: Morphism) -> int:
     return f.multiplier.num * g.multiplier.num % f.dom._modulus
 
 
-def _universal(w: _FiniteWorld, apex: Ideal, legs: tuple[Morphism, ...], limit: bool,
-               f: Morphism | None = None) -> tuple | None:
-    """(C, cone) for the first admitted cone, at C, that the legs do not
-    factor exactly once, or None.
+def _universal(w: _FiniteWorld, apex: Ideal, leg: Morphism, limit: bool,
+               f: Morphism) -> tuple | None:
+    """(C, c) for the first killer c of f, at an object C, that the leg does
+    not factor exactly once, or None: the cone test of a kernel (limit) or
+    a cokernel of f.
 
-    Universality (Mac Lane, CWM III.1): at every object C, a limit's h -> (leg h)
-    maps hom(C, apex) one to one onto the admitted tuples of maps C -> cod leg,
-    and a colimit's h -> (h leg) maps hom(apex, C) onto those of dom leg -> C.
-    Every cone is admitted, or, given f and one leg, the killers of f: the
-    cones c with f c = 0 (limit) or c f = 0. With no legs the one cone at C is
-    empty, hit once per map C -> apex (apex -> C for a colimit): the test of a
-    terminal (initial) object.
+    Universality (Mac Lane, CWM III.1): at every object C, a kernel's
+    h -> leg h maps hom(C, apex) one to one onto the killers of f in
+    hom(C, cod leg), the maps c with f c = 0, and a cokernel's h -> h leg
+    maps hom(apex, C) onto those c in hom(dom leg, C) with c f = 0.
 
-    Each leg's maps share dom and cod, so their canonical multipliers k/1,
-    all over the world's ring, are told apart by the residue k alone, which
-    lies below the modulus of their domain. So a cone is keyed by one int,
-    its residues in mixed radix over those moduli, read from the world's
-    columns, and a hit by the residues of its composites with the legs
-    (``_residue``). The legs are checked once, before any object: each must
-    meet the apex, and, given f, the leg must compose with f, or the test
-    raises the NotComposable ``_residue`` raises on that composite. At each
-    C the keys hit exactly once form a set (a Counter is built only when
-    some key is hit twice), and the answer is the first cone, in the order
-    of the product of the legs' hom-sets, that is admitted and not in that
-    set, where s kills f when s k_f is 0 modulo the modulus of C (limit) or
-    of dom f, as ``_residue`` reads it. Only that cone is built as maps.
+    The maps of one hom-set are told apart by their residues, which lie
+    below the modulus of their domain. So a killer is keyed by its residue,
+    read from the world's columns, and a hit by the residue of its composite
+    with the leg (``_residue``). The leg is checked once, before any object:
+    it must meet the apex and compose with f, or the test raises the
+    NotComposable ``_residue`` raises on that composite. At each C the keys
+    hit exactly once form a set (a Counter is built only when some key is
+    hit twice), and the answer is the first killer, in hom-set order, not
+    in that set, where c kills f when c k_f is 0 modulo the modulus of C
+    (limit) or of dom f, as ``_residue`` reads it.
     """
+    if limit and leg.dom != apex:  # the text _residue raises on the first composite
+        raise NotComposable(f"cod {apex} of f differs from dom {leg.dom} of g")
+    if not limit and leg.cod != apex:
+        raise NotComposable(f"cod {leg.cod} of f differs from dom {apex} of g")
+    _residue(f, leg) if limit else _residue(leg, f)  # raises when the leg misses f
     columns = w.into if limit else w.out_of
-    for leg in legs:  # the text _residue raises on the first composite
-        if limit and leg.dom != apex:
-            raise NotComposable(f"cod {apex} of f differs from dom {leg.dom} of g")
-        if not limit and leg.cod != apex:
-            raise NotComposable(f"cod {leg.cod} of f differs from dom {apex} of g")
-    if f is not None:  # raises when the leg does not compose with f
-        _residue(f, legs[0]) if limit else _residue(legs[0], f)
-        kf, mf = f.multiplier.num, f.dom._modulus
-    ks = [leg.multiplier.num for leg in legs]
-    # leg h (limit) or h leg has residue r k modulo the modulus of its domain
-    ms = [leg.dom._modulus for leg in legs]
-    for (C, rs, _), *cols in zip(columns[apex], *(columns[leg.cod if limit else leg.dom]
-                                                   for leg in legs)):
+    k, kf = leg.multiplier.num, f.multiplier.num
+    # h leg has residue r k modulo the modulus of dom leg, and leg h modulo that of C
+    m, mf = leg.dom._modulus, f.dom._modulus
+    for (C, rs, _), (_, ss, cones) in zip(columns[apex],
+                                          columns[leg.cod if limit else leg.dom]):
         if limit:
-            mf = C._modulus
-            ms = [mf] * len(legs)
-        if len(cols) == 1:  # one leg: a residue is its own key
-            k, m, cones = ks[0], ms[0], cols[0][1]
-            keys = [r * k % m for r in rs]
-        else:  # cones in the order of their product
-            keys, cones, radix = [0] * len(rs), [0], 1
-            for k, m, (_, ss, _) in zip(ks, ms, cols):
-                keys = [key + r * k % m * radix for key, r in zip(keys, rs)]
-                cones = [cone + s * radix for cone in cones for s in ss]
-                radix *= m
+            m = mf = C._modulus
+        keys = [r * k % m for r in rs]
         once = set(keys)
         if len(once) != len(keys):  # some key is hit twice
             once = {key for key, hits in Counter(keys).items() if hits == 1}
-        for i, s in enumerate(cones):
-            if s not in once and (f is None or not s * kf % mf):
-                return C, next(islice(product(*(col[2] for col in cols)), i, None))
+        for s, c in zip(ss, cones):
+            if s not in once and not s * kf % mf:
+                return C, c
     return None
 
 
@@ -964,11 +938,13 @@ def _idempotent_kernel(w):
 
 
 def _fin_zero_object(w: _FiniteWorld):
-    """The first object, <0>, is terminal and initial."""
-    for limit, law in ((True, "terminal"), (False, "initial")):
-        miss = _universal(w, w.objects[0], (), limit)
-        if miss is not None:
-            return {"object": miss[0].literal, "law": law}
+    """The first object, <0>, is terminal and initial: in object order, each
+    C has exactly one map into it, and then exactly one out of it."""
+    zero = w.objects[0]
+    for law, column in (("terminal", w.into[zero]), ("initial", w.out_of[zero])):
+        for C, rs, _ in column:
+            if len(rs) != 1:
+                return {"object": C.literal, "law": law}
     return None
 
 
@@ -989,9 +965,9 @@ def _fin_equality_pointwise(w: _FiniteWorld):
 def _fin_kernel_universal(w: _FiniteWorld):
     for f in w.morphisms:
         K, j = w.laws.kernel(f)
-        miss = _universal(w, K, (j,), True, f)
+        miss = _universal(w, K, j, True, f)
         if miss is not None:
-            return {"f": f.literal, "j'": miss[1][0].literal, "law": "unique factorization"}
+            return {"f": f.literal, "j'": miss[1].literal, "law": "unique factorization"}
     return None
 
 
@@ -1041,7 +1017,7 @@ def _fin_biproduct(w: _FiniteWorld):
                     h = copair_from_coproduct(bp, g1, g2)
                     if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
                         return {"g1": g1.literal, "g2": g2.literal, "law": "copairing"}
-            if not w.is_biproduct(A, B, bp):
+            if not _is_biproduct(w, A, B, bp):
                 return {"A": A.literal, "B": B.literal, "law": "universal property"}
     return None
 
@@ -1224,7 +1200,7 @@ def _is_cokernel(w: _FiniteWorld, f: Morphism, E: Ideal, p: Morphism) -> bool:
     """Whether p: cod f -> E is enumerated, kills f, and factors every map
     that kills f exactly once: whether _search_cokernel lists (E, p)."""
     return (p in w.members[(f.cod, E)] and not _residue(p, f)
-            and _universal(w, E, (p,), False, f) is None)
+            and _universal(w, E, p, False, f) is None)
 
 
 def _search_cokernel(w: _FiniteWorld, f: Morphism) -> list[CokernelPair]:
@@ -1255,41 +1231,49 @@ def search_cokernel(f: Morphism) -> list[CokernelPair]:
 
 
 def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
-    """Whether bp's maps are enumerated maps P -> A, B and A, B -> P with universal cones."""
+    """Whether bp's maps are enumerated maps P -> A, B and A, B -> P with
+    p_i i_j = δ_ij and i1 p1 + i2 p2 = 1, compared as residues. In a
+    preadditive category these five identities are a biproduct, and then
+    both cones are universal (Mac Lane, CWM VIII.2, Thm 2)."""
     P, p1, p2, i1, i2 = bp
     return (all(g in w.members[k] for g, k in zip(bp[1:], ((P, A), (P, B), (A, P), (B, P))))
-            and _universal(w, P, (p1, p2), True) is None
-            and _universal(w, P, (i1, i2), False) is None)
+            and _residue(p1, i1) == 1 % A._modulus and not _residue(p2, i1)
+            and _residue(p2, i2) == 1 % B._modulus and not _residue(p1, i2)
+            and (_residue(i1, p1) + _residue(i2, p2)) % P._modulus == 1 % P._modulus)
 
 
 def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
-    """Every (P, p1, p2, i1, i2) whose two cones pass ``_universal``, all at
-    one apex in closed form: P = A + B, the object of order |A| |B|, when
+    """Every (P, p1, p2, i1, i2) that ``_is_biproduct`` accepts, all at one
+    apex in closed form: P = A + B, the object of order |A| |B|, when
     A ∩ B = 0, and none otherwise.
 
-    Proof: L_R is preadditive, so a product (or coproduct) of A and B is a
-    biproduct (Mac Lane, CWM VIII.2, Thm 2). Its equations, p_i i_j = δ_ij and
-    i1 p1 + i2 p2 = 1, hold in Z_n-Mod as well, since L_R is a full
-    subcategory with the same addition, so P ≅ A ⊕ B. That module is cyclic
-    only when gcd(|A|, |B|) = 1, that is when A ∩ B, the ideal of order
-    gcd(|A|, |B|), is 0, and then its order is |A| |B|. Z_n has one ideal of
-    each order, so no other apex has a product or a coproduct cone. Every
-    pair of legs at P still goes through ``_universal``.
+    Proof: a biproduct is defined by its identities, and L_R is a full
+    subcategory of Z_n-Mod with the same addition, so P ≅ A ⊕ B. That
+    module is cyclic only when gcd(|A|, |B|) = 1, that is when A ∩ B, the
+    ideal of order gcd(|A|, |B|), is 0, and then its order is |A| |B|. Z_n
+    has one ideal of each order, so no other apex has a biproduct, nor,
+    as L_R is preadditive, a product or a coproduct (Mac Lane, CWM VIII.2,
+    Thm 2). For each pair of projections only the injections that
+    p_i i_j = δ_ij admits go through ``_is_biproduct``.
     """
     if not intersect(A, B).is_zero:
         return []
     order = A._modulus * B._modulus
     P = next(P for P in w.objects if P._modulus == order)
-    products = [(p1, p2) for p1, p2 in product(w.hom[(P, A)], w.hom[(P, B)])
-                if _universal(w, P, (p1, p2), True) is None]
-    coproducts = [(i1, i2) for i1, i2 in product(w.hom[(A, P)], w.hom[(B, P)])
-                  if _universal(w, P, (i1, i2), False) is None]
-    return [Biproduct(P, *ps, *cs) for ps in products for cs in coproducts]
+    one_a, one_b = 1 % A._modulus, 1 % B._modulus
+    found = []
+    for p1, p2 in product(w.hom[(P, A)], w.hom[(P, B)]):
+        i1s = [i for i in w.hom[(A, P)] if _residue(p1, i) == one_a and not _residue(p2, i)]
+        i2s = [i for i in w.hom[(B, P)] if _residue(p2, i) == one_b and not _residue(p1, i)]
+        found += [bp for bp in (Biproduct(P, p1, p2, i1, i2) for i1 in i1s for i2 in i2s)
+                  if _is_biproduct(w, A, B, bp)]
+    return found
 
 
 def search_biproduct(A: Ideal, B: Ideal) -> list[Biproduct]:
-    """Every tuple satisfying both universal properties, by exhaustive
-    search over the Z_n category, refused as ``search_cokernel`` is."""
+    """Every biproduct (P, p1, p2, i1, i2) of A and B in the Z_n category:
+    every tuple whose maps satisfy the five identities, refused as
+    ``search_cokernel`` is."""
     _require_same_ring(A, B)
     return _search_biproduct(_FiniteWorld(A.ring), A, B)
 
@@ -1305,10 +1289,10 @@ def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[Ch
     biproduct exists (proof at ``_search_biproduct``).
 
     The audits run on ``world`` when given, a ``_FiniteWorld`` of this ring
-    with any laws: they read the world's cokernel sweep and biproduct
-    verdicts, which the axiom checks share, and never ``w.laws``; a world
-    of another ring raises RingMismatch. Without one they build their own,
-    refused as ``search_cokernel`` is."""
+    with any laws: they read the world's cokernel sweep, which the axiom
+    checks share, and never ``w.laws``; a world of another ring raises
+    RingMismatch. Without one they build their own, refused as
+    ``search_cokernel`` is."""
     w = _FiniteWorld(ring) if world is None else _require_world_of(world, ring)
     witness, refused = w.cokernel_sweep
     entries = [_verdict("cokernel-rule-agreement", witness)]
@@ -1334,7 +1318,7 @@ def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[Ch
     agreement = next(
         ({"A": A.literal, "B": B.literal, "law": "constructed biproduct fails the search"}
          for i, A in enumerate(w.objects) for B in w.objects[i:]
-         if intersect(A, B).is_zero and not w.is_biproduct(A, B, biproduct(A, B))),
+         if intersect(A, B).is_zero and not _is_biproduct(w, A, B, biproduct(A, B))),
         None)
     entries.append(_verdict("biproduct-rule-agreement", agreement))
     return entries

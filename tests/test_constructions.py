@@ -38,6 +38,7 @@ from idealcat.ideals import (
     morphism_new,
     zero_morphism,
 )
+from idealcat.formats import ideal_to_json
 from idealcat.poly import parse_poly
 from idealcat.rings import INTEGERS, RATIONAL_POLYNOMIALS, ModularRing
 
@@ -265,3 +266,30 @@ def test_a_value_too_long_to_print_has_no_literal_but_a_description():
     assert str(f) == "rho({0};{0};{0})".format("an integer of 5001 digits")
     big = ideal_new(QX, [parse_poly("x^4096")])
     assert str(image(morphism_new(big, big, parse_poly("x")))) == "<a polynomial of degree 4097>"
+
+
+HUGE_RING = ModularRing(HUGE)
+_HUGE_INT = "<an integer of 5001 digits>"
+
+
+@pytest.mark.parametrize("value, expected", [
+    (HUGE_A, f"Ideal(ring=IntegerRing(), generator={_HUGE_INT})"),
+    (morphism_new(HUGE_A, HUGE_A, HUGE), "Morphism(dom={0}, cod={0}, multiplier={1})".format(
+        f"Ideal(ring=IntegerRing(), generator={_HUGE_INT})",
+        "Fraction(z, 'an integer of 5001 digits')")),
+    (morphism_new(HUGE_A, HUGE_A, HUGE).multiplier, "Fraction(z, 'an integer of 5001 digits')"),
+    (HUGE_RING, f"ModularRing({_HUGE_INT})"),
+], ids=["Ideal", "Morphism", "Fraction", "ModularRing"])
+def test_repr_describes_a_field_too_long_to_print(value, expected):
+    # repr() once raised ValueError (int) or ParseError (a Fraction's literal)
+    assert repr(value) == expected
+
+
+def test_a_modulus_too_long_to_print_has_no_literal_but_a_parse_error():
+    # the literal once raised a raw ValueError, so JSON output did too
+    with pytest.raises(ParseError, match="^zmod:<5001 digits> has a modulus too long"):
+        HUGE_RING.literal
+    with pytest.raises(ParseError):
+        ideal_to_json(ideal_new(HUGE_RING, [1]))
+    assert str(HUGE_RING) == "zmod:<5001 digits>"
+    assert repr(ideal_new(HUGE_RING, [1])) == f"Ideal(ring=ModularRing({_HUGE_INT}), generator=1)"
