@@ -4,7 +4,9 @@ Exit codes: 0 success (discrepancy-only verification included), 1 usage or
 parse errors, 2 mathematical non-existence (cokernel/biproduct/splitting/
 inclusion refusals), 3 verification failure (any fail entry in a report),
 141 stdout closed before the answer was written (the shell's code for
-SIGPIPE, as in ``verify ... | head -1``).
+SIGPIPE, as in ``verify ... | head -1``). Running out of memory is exit 1,
+``error: out of memory`` (with ``--json``, an error of type MemoryError),
+never a verdict and never a traceback.
 
 Listings are bounded: ``homs`` over Z_n refuses a hom-set of more than
 ``ideals.MAX_HOM_LISTING`` morphisms, ``objects``, ``poset`` and ``verify``
@@ -179,12 +181,13 @@ def main(argv=None) -> int:
             result = operation(*operands)
             payload = getattr(formats, command.codec)(result)
             human, code = _human(result, payload), 0
-    except IdealCatError as exc:
+    except (IdealCatError, MemoryError) as exc:
         code = 2 if isinstance(exc, DoesNotExist) else 1
+        message = "out of memory" if isinstance(exc, MemoryError) else str(exc)
         if not args.json:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
             return code
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        payload = {"error": {"type": type(exc).__name__, "message": message}}
     try:
         print(json.dumps(payload, separators=(",", ":")) if args.json else human)
         sys.stdout.flush()  # a closed pipe raises here, not in the exit flush

@@ -19,7 +19,6 @@ from .errors import (
     NontrivialIntersection,
     NotIdempotent,
 )
-from .fracfield import Fraction
 from .ideals import (
     Ideal,
     Morphism,
@@ -121,13 +120,9 @@ def biproduct(A: Ideal, B: Ideal) -> Biproduct:
         p1 = identity(obj) if B.is_zero else zero_morphism(obj, A)
         p2 = identity(obj) if not B.is_zero else zero_morphism(obj, B)
         return Biproduct(obj, p1, p2, i1, i2)
-    ring = A.ring
-    n = ring.characteristic
     m1, m2 = A._modulus, B._modulus
-    s1 = _crt_one_zero(m1, m2)
-    s2 = _crt_one_zero(m2, m1)
-    p1 = morphism_new(obj, A, Fraction(ring, s1 % n, ring.one))
-    p2 = morphism_new(obj, B, Fraction(ring, s2 % n, ring.one))
+    p1 = morphism_new(obj, A, _crt_one_zero(m1, m2))
+    p2 = morphism_new(obj, B, _crt_one_zero(m2, m1))
     return Biproduct(obj, p1, p2, i1, i2)
 
 

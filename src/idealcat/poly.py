@@ -235,7 +235,11 @@ class Poly:
         return hash((self._ic, self._cn, self._cd))
 
     def __repr__(self) -> str:
-        return f"Poly({format_poly(self)!r})"
+        """The literal, or a description of a value too long for str()."""
+        try:
+            return f"Poly({format_poly(self)!r})"
+        except ValueError:
+            return f"Poly(<a polynomial of degree {self.degree}>)"
 
     def __str__(self) -> str:
         return format_poly(self)

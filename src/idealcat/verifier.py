@@ -46,19 +46,20 @@ which in a preadditive category make both cones universal; the zero object
 by counting one map into and one out of each object. The cokernel and the
 biproduct property are each one predicate, ``_is_cokernel`` and
 ``_is_biproduct``, for the axiom checks, the searches and the existence
-audits alike. The audits put each construction a rule returns through it
-(a miss is a failure) and search Z_n only at the maps the cokernel rule
-refuses: a cokernel the search certifies there is a ``discrepancy`` with a
-machine-checkable witness and does not fail the suite. Each search tries
-one apex, in closed form: the cokernel search the ideal of order
-|cod f| / |im f| (proof at ``_search_cokernel``), the biproduct search
-A + B, and none when A ∩ B != 0 (proof at ``_search_biproduct``), so a pair
-the biproduct rule refuses has no biproduct, and the audits do not search
-it. The world computes the composites it takes itself (cone counts,
-biproduct identities, cancellation, idempotents, right divisors) as
-residues, ``_residue``, with no Fraction or Morphism built, and keeps the
-residues of every hom-set in a column per object, which the cone tests and
-cancellation read; the laws the checks test still go through ``w.laws``.
+audits alike: the five identities are written only there. The audits put
+each construction a rule returns through it (a miss is a failure) and
+search Z_n only at the maps the cokernel rule refuses: a cokernel the
+search certifies there is a ``discrepancy`` with a machine-checkable
+witness and does not fail the suite. Each search tries one apex, in closed
+form: the cokernel search the ideal of order |cod f| / |im f| (proof at
+``_search_cokernel``), the biproduct search A + B, and none when A ∩ B != 0
+(proof at ``_search_biproduct``), so a pair the biproduct rule refuses has
+no biproduct, and the audits do not search it. The world computes the
+composites it takes itself (cone counts, biproduct identities, the legs of
+pairings, cancellation, idempotents, right divisors) as residues,
+``_residue``, with no Fraction or Morphism built, and keeps the residues of
+every hom-set in a column per object, which the cone tests and cancellation
+read; the laws the checks test still go through ``w.laws``.
 
 Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
 a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
@@ -184,9 +185,11 @@ def _verdict(name: str, witness: dict | None) -> CheckResult:
 
 def _witness(law: Callable, world) -> dict | None:
     """law(world), or the witness of what it raises: mutated laws may raise
-    anywhere mid-check."""
+    anywhere mid-check. Running out of memory is no verdict: it propagates."""
     try:
         return law(world)
+    except MemoryError:
+        raise
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -987,6 +990,9 @@ def _fin_cancellation(w: _FiniteWorld, left: bool):
 
 
 def _fin_biproduct(w: _FiniteWorld):
+    """The rule refuses A ∩ B != 0, each biproduct it builds passes
+    ``_is_biproduct``, and each pairing and copairing has, as residues, the
+    legs it was given."""
     for i, A in enumerate(w.objects):
         for B in w.objects[i:]:
             if not intersect(A, B).is_zero:
@@ -997,28 +1003,19 @@ def _fin_biproduct(w: _FiniteWorld):
                 return {"A": A.literal, "B": B.literal,
                         "law": "nontrivial intersection must be refused"}
             bp = biproduct(A, B)
-            checks = (
-                (compose(bp.p1, bp.i1), identity(A), "p1 i1 = 1"),
-                (compose(bp.p2, bp.i2), identity(B), "p2 i2 = 1"),
-                (compose(bp.p1, bp.i2), zero_morphism(B, A), "p1 i2 = 0"),
-                (compose(bp.p2, bp.i1), zero_morphism(A, B), "p2 i1 = 0"),
-                (hom_add(compose(bp.i1, bp.p1), compose(bp.i2, bp.p2)),
-                 identity(bp.object), "i1 p1 + i2 p2 = 1"),
-            )
-            for got, expected, law in checks:
-                if got != expected:
-                    return {"A": A.literal, "B": B.literal, "law": law}
+            if not _is_biproduct(w, A, B, bp):
+                return {"A": A.literal, "B": B.literal, "law": "universal property"}
             for C in w.objects:
                 for f1, f2 in product(w.hom[(C, A)], w.hom[(C, B)]):
                     h = pair_into_product(bp, f1, f2)
-                    if compose(bp.p1, h) != f1 or compose(bp.p2, h) != f2:
+                    if (_residue(bp.p1, h) != f1.multiplier.num
+                            or _residue(bp.p2, h) != f2.multiplier.num or h.dom != C):
                         return {"f1": f1.literal, "f2": f2.literal, "law": "pairing"}
                 for g1, g2 in product(w.hom[(A, C)], w.hom[(B, C)]):
                     h = copair_from_coproduct(bp, g1, g2)
-                    if compose(h, bp.i1) != g1 or compose(h, bp.i2) != g2:
+                    if (_residue(h, bp.i1) != g1.multiplier.num
+                            or _residue(h, bp.i2) != g2.multiplier.num or h.cod != C):
                         return {"g1": g1.literal, "g2": g2.literal, "law": "copairing"}
-            if not _is_biproduct(w, A, B, bp):
-                return {"A": A.literal, "B": B.literal, "law": "universal property"}
     return None
 
 
@@ -1234,7 +1231,8 @@ def _is_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal, bp: Biproduct) -> bool:
     """Whether bp's maps are enumerated maps P -> A, B and A, B -> P with
     p_i i_j = δ_ij and i1 p1 + i2 p2 = 1, compared as residues. In a
     preadditive category these five identities are a biproduct, and then
-    both cones are universal (Mac Lane, CWM VIII.2, Thm 2)."""
+    both cones are universal (Mac Lane, CWM VIII.2, Thm 2). The search, the
+    audit and ``biproduct-laws`` all decide by it."""
     P, p1, p2, i1, i2 = bp
     return (all(g in w.members[k] for g, k in zip(bp[1:], ((P, A), (P, B), (A, P), (B, P))))
             and _residue(p1, i1) == 1 % A._modulus and not _residue(p2, i1)

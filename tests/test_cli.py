@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idealcat
-from idealcat import cli
+from idealcat import cli, verifier
 from idealcat.cli import _COMMANDS, main
 from idealcat.errors import ParseError, RingMismatch
 from idealcat.formats import (
@@ -281,6 +281,37 @@ def test_output_into_a_closed_pipe_exits_141_without_a_traceback():
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert b"Traceback" not in proc.stderr.read()
+
+
+def test_running_out_of_memory_exits_1_without_a_traceback():
+    # Under a 150 MB address-space cap the oracle premise of zmod:1009 runs
+    # out of memory. That MemoryError was once a witness: the pointwise laws
+    # then fell back to their full loops and ran for minutes.
+    resource = pytest.importorskip("resource")
+    cap = 150 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "idealcat.cli", "verify", "--ring", "zmod:1009"],
+                          capture_output=True, text=True, timeout=60, env=_child_env(),
+                          preexec_fn=limit)
+    assert proc.returncode in (0, 1), (proc.returncode, proc.stderr[-500:])
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        assert proc.stderr == "error: out of memory\n"
+
+
+def test_out_of_memory_is_a_typed_json_error(monkeypatch):
+    def verify_ring(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(verifier, "verify_ring", verify_ring)
+    code, out, err = _main_captured(["verify", "--ring", "zmod:6", "--json"])
+    assert code == 1 and not err
+    assert json.loads(out) == {"error": {"type": "MemoryError", "message": "out of memory"}}
+    code, out, err = _main_captured(["verify", "--ring", "zmod:6"])
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("max_abs", ["0", "-1"])

@@ -206,3 +206,14 @@ def test_parse_caps_the_literal_degree():
 def test_parse_rejects_coefficients_int_cannot_read():
     with pytest.raises(ParseError, match="too many digits"):
         parse_poly("7" * 5000 + "x")
+
+
+def test_repr_describes_a_coefficient_too_long_to_print():
+    # 5,001 digits: above sys.get_int_max_str_digits(); repr() once raised ValueError
+    huge = Poly.const(10**5000)
+    assert repr(huge) == "Poly(<a polynomial of degree 0>)"
+    assert repr(Poly.const(10**5000) * Poly((0, 1))) == "Poly(<a polynomial of degree 1>)"
+    assert repr(Poly((1, 2))) == "Poly('2x+1')"
+    # str() still refuses it, so that no literal is written that cannot be read back
+    with pytest.raises(ValueError):
+        str(huge)

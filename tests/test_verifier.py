@@ -718,6 +718,22 @@ def test_a_law_that_raises_on_generators_gets_the_full_loop_report(monkeypatch):
     assert check_axioms(Z6, laws=laws).to_json() == report
 
 
+def _compose_out_of_memory(g, f):
+    raise MemoryError
+
+
+def test_running_out_of_memory_is_no_verdict():
+    # a MemoryError once became the witness {"error": "MemoryError: "}, and
+    # a premise that raised it sent the pointwise laws to their full loops
+    laws = replace(STANDARD_LAWS, compose=_compose_out_of_memory)
+    with pytest.raises(MemoryError):
+        check_axioms(Z6, laws=laws)
+    w = verifier._FiniteWorld(Z6, laws)
+    with pytest.raises(MemoryError):
+        w.certifies()
+    assert verifier._cyclic_hom_sets not in w.settled
+
+
 def _apply_off_at_twice_two(f, x):
     # on <2> -> B, 4 = 2 + 2 goes to f(4) + b, b the generator of B; f(2) is right
     y = apply(f, x)
