@@ -157,11 +157,18 @@ class Ideal(_Value):
 
 class Morphism(_Value):
     """The map x -> x * multiplier from dom to cod, multiplier canonical and
-    over the ring of dom, so equality and hash read its num and den."""
+    over the ring of dom, so equality and hash read its num and den. As
+    ``Ideal(ring, g)`` does, the constructor refuses what morphism_new would
+    refuse (InvalidMultiplier for a map that does not send dom into cod) or
+    change (ValueError for a multiplier that is not canonical)."""
 
     __slots__ = _fields = ("dom", "cod", "multiplier")
 
     def __init__(self, dom: Ideal, cod: Ideal, multiplier: Fraction):
+        canonical = morphism_new(dom, cod, multiplier).multiplier
+        if canonical is not multiplier and canonical != multiplier:
+            raise ValueError(f"{multiplier!r} is not the canonical multiplier of a map "
+                             f"{dom} -> {cod}: build morphisms with morphism_new")
         _set_dom(self, dom)
         _set_cod(self, cod)
         _set_multiplier(self, multiplier)

@@ -45,34 +45,35 @@ is tested by its five identities, p_i i_j = δ_ij and i1 p1 + i2 p2 = 1,
 which in a preadditive category make both cones universal; the zero object
 by counting one map into and one out of each object. The cokernel and the
 biproduct property are each one predicate, ``_is_cokernel`` and
-``_is_biproduct``, for the axiom checks, the searches and the existence
-audits alike: the five identities are written only there. The audits put
-each construction a rule returns through it (a miss is a failure) and
-search Z_n only at the maps the cokernel rule refuses: a cokernel the
-search certifies there is a ``discrepancy`` with a machine-checkable
-witness and does not fail the suite. Each search tries one apex, in closed
-form: the cokernel search the ideal of order |cod f| / |im f| (proof at
-``_search_cokernel``), the biproduct search A + B, and none when A ∩ B != 0
-(proof at ``_search_biproduct``), so a pair the biproduct rule refuses has
-no biproduct, and the audits do not search it. The world computes the
-composites it takes itself (cone counts, biproduct identities, the legs of
-pairings, cancellation, idempotents, right divisors) as residues,
-``_residue``, with no Fraction or Morphism built, and keeps the residues of
-every hom-set in a column per object, which the cone tests and cancellation
-read; the laws the checks test still go through ``w.laws``.
+``_is_biproduct``, for the checks, the searches and the audits alike. The
+audits put each construction a rule returns through it (a miss is a
+failure) and search Z_n only at the maps the cokernel rule refuses: a
+cokernel found there is a ``discrepancy`` with a machine-checkable witness
+and does not fail the suite. Each search tries one apex, in closed form:
+the ideal of order |cod f| / |im f| (proof at ``_search_cokernel``), and
+A + B, none when A ∩ B != 0 (proof at ``_search_biproduct``), so the audits
+do not search a pair the biproduct rule refuses. A ∩ B = 0 is read from the
+orders, gcd(|A|, |B|) = 1, never from ``intersect``, which the rule under
+test calls. The world computes the composites it takes itself (cone counts,
+biproduct identities, the legs of pairings, cancellation, idempotents,
+right divisors) as residues, ``_residue``, with no Fraction or Morphism
+built, and keeps the residues of every hom-set in a column per object; the
+laws the checks test still go through ``w.laws``.
 
-Every Z_n world comes from one constructor, ``_FiniteWorld``, which refuses
-a ring of more than ``MAX_VERIFY_CASES`` composition cases before it lists
-anything: the checks, both searches and the audits are bounded by that one
-count. ``brute_force_hom_set`` builds no world; ``ideal_elements`` bounds it,
-and so does the size of its tables, |A| |B|, by the same count.
+Every Z_n world comes from one constructor, ``_FiniteWorld``, which lists
+the ring's objects once and, from their orders alone, refuses a ring of
+more than ``MAX_VERIFY_CASES`` composition cases before it lists any
+hom-set: the checks, both searches and the audits are bounded by that one
+count. ``brute_force_hom_set`` builds no world; ``ideal_elements`` bounds
+it, and so does the size of its tables, |A| |B|, by the same count.
 ``verify_ring`` builds one world and hands it to ``check_axioms`` and
 ``audit_existence``. Sharing it is exact: the audits never read
 ``w.laws``, only residues and the standard ``cokernel`` and ``biproduct``.
 The world runs the cokernel rule over every morphism once
-(``cokernel_sweep``: the first pair that fails ``_is_cokernel`` and every
-map the rule refuses), so ``cokernel-universal`` and
-``cokernel-rule-agreement`` share one computation.
+(``cokernel_sweep``), so ``cokernel-universal`` and
+``cokernel-rule-agreement`` share one computation. A rule that raises
+there or in the biproduct audit gives a fail with an error witness, as a
+law does, and never raises out of ``verify_ring``.
 
 ``law_mutations`` documents five single-law defects (composition,
 addition, kernel, factorization image, splitting corestriction); each is
@@ -138,7 +139,6 @@ from .ideals import (
     identity,
     image,
     inclusion,
-    intersect,
     is_epi,
     is_inclusion,
     is_mono,
@@ -183,11 +183,11 @@ def _verdict(name: str, witness: dict | None) -> CheckResult:
     return CheckResult(name, "pass" if witness is None else "fail", witness)
 
 
-def _witness(law: Callable, world) -> dict | None:
-    """law(world), or the witness of what it raises: mutated laws may raise
-    anywhere mid-check. Running out of memory is no verdict: it propagates."""
+def _witness(law: Callable, *args) -> dict | None:
+    """law(*args), or the witness of what it raises: mutated laws and rules
+    may raise anywhere. Running out of memory is no verdict: it propagates."""
     try:
-        return law(world)
+        return law(*args)
     except MemoryError:
         raise
     except Exception as exc:
@@ -293,13 +293,11 @@ def _require_finite(ring: Ring) -> Ring:
     return ring
 
 
-def _composition_cases(ring: Ring) -> int:
+def _composition_cases(orders: list[int]) -> int:
     """The cases of P1's composition table over Z_n, Sum_B (Sum_A
-    |Hom(A, B)|)^2, from the divisors alone: <a> is Z_(n/a), and
-    |Hom(Z_k, Z_l)| = gcd(k, l). The sum stops once it passes
+    |Hom(A, B)|)^2, from the orders of the objects alone: <a> is Z_(n/a),
+    and |Hom(Z_k, Z_l)| = gcd(k, l). The sum stops once it passes
     MAX_VERIFY_CASES; <1>, the second object, alone adds sigma(n)^2."""
-    n = ring.characteristic
-    orders = [n // a if a else 1 for a in ring.ideal_generators()]
     cases = 0
     for l in orders:
         cases += sum(math.gcd(k, l) for k in orders) ** 2
@@ -364,24 +362,24 @@ class _FiniteWorld:
     """Precomputed objects, hom-sets (with their bases and, per object, the
     columns of hom-sets into and out of it with their residues) and ideal
     elements of the Z_n category; each case source yields every case and
-    ignores ``few``.
-    Its generator copy (``on_bases``) keeps the morphisms and composable
-    chains, but gives parallel partners on bases, points on generators, and
-    base chains to a law additive in each map. Before it lists anything the
-    constructor refuses a ring that is not Z_n (RingMismatch) and one of
-    more than MAX_VERIFY_CASES composition cases (ListingTooLarge)."""
+    ignores ``few``. Its generator copy (``on_bases``) keeps the morphisms
+    and composable chains, but gives parallel partners on bases, points on
+    generators, and base chains to a law additive in each map. A ring that
+    is not Z_n raises RingMismatch; one of more than MAX_VERIFY_CASES
+    composition cases, counted from the orders of the objects it lists
+    once, raises ListingTooLarge before any hom-set is listed."""
 
     triples_are_chains = False
     on_bases = False
 
     def __init__(self, ring: Ring, laws: LawTable = STANDARD_LAWS):
-        cases = _composition_cases(_require_finite(ring))
+        self.objects = enumerate_objects(_require_finite(ring))
+        cases = _composition_cases([A._modulus for A in self.objects])
         if cases > MAX_VERIFY_CASES:
             raise ListingTooLarge(f"verifying {ring} takes at least {cases} composition "
                                   f"cases, above the limit {MAX_VERIFY_CASES}")
         self.ring = ring
         self.laws = laws
-        self.objects = enumerate_objects(ring)
         homsets = {(A, B): enumerate_hom(A, B) for A in self.objects for B in self.objects}
         self.hom: dict[tuple[Ideal, Ideal], tuple[Morphism, ...]] = {
             key: hs.elements for key, hs in homsets.items()}
@@ -470,20 +468,22 @@ class _FiniteWorld:
 
     @cached_property
     def cokernel_sweep(self) -> tuple[dict | None, list[Morphism]]:
-        """(witness, refused): the first pair the cokernel rule returns that
-        fails ``_is_cokernel``, as a witness, or None, and every map the rule
-        refuses. The rule runs once per morphism and world; a sweep that
-        raises is not kept, so the next reader runs it again."""
-        witness, refused = None, []
-        for f in self.morphisms:
+        """(witness, refused): the witness of the first map whose pair from
+        the cokernel rule fails ``_is_cokernel`` or raises (``_witness``), or
+        None, and every map the rule refuses. The rule runs once on every
+        map, whatever it meets, so ``refused`` is complete."""
+        refused = []
+
+        def verdict(f: Morphism) -> dict | None:
             try:
                 E, p = cokernel(f)
             except CokernelDoesNotExist:
                 refused.append(f)
-                continue
-            if witness is None and not _is_cokernel(self, f, E, p):
-                witness = {"f": f.literal, "cokernel": E.literal, "law": "universal property"}
-        return witness, refused
+                return None
+            return None if _is_cokernel(self, f, E, p) else {
+                "f": f.literal, "cokernel": E.literal, "law": "universal property"}
+
+        return next(filter(None, [_witness(verdict, f) for f in self.morphisms]), None), refused
 
 
 class _SampledWorld:
@@ -995,7 +995,7 @@ def _fin_biproduct(w: _FiniteWorld):
     legs it was given."""
     for i, A in enumerate(w.objects):
         for B in w.objects[i:]:
-            if not intersect(A, B).is_zero:
+            if math.gcd(A._modulus, B._modulus) != 1:  # A ∩ B != 0
                 try:
                     biproduct(A, B)
                 except NontrivialIntersection:
@@ -1168,7 +1168,7 @@ def check_axioms(
     An unknown mode is a usage error: ValueError, before any check runs.
     Over Z_n the checks run on ``world`` when given, a ``_FiniteWorld`` of
     this ring built with these laws, so verify_ring can share it; otherwise
-    on a new one, refused above the case limit before it lists anything.
+    on a new one, refused above the case limit before it lists any hom-set.
     A world of another ring raises RingMismatch, one of other laws
     ValueError."""
     _check_mode(mode)
@@ -1254,7 +1254,7 @@ def _search_biproduct(w: _FiniteWorld, A: Ideal, B: Ideal) -> list[Biproduct]:
     Thm 2). For each pair of projections only the injections that
     p_i i_j = δ_ij admits go through ``_is_biproduct``.
     """
-    if not intersect(A, B).is_zero:
+    if math.gcd(A._modulus, B._modulus) != 1:
         return []
     order = A._modulus * B._modulus
     P = next(P for P in w.objects if P._modulus == order)
@@ -1313,13 +1313,12 @@ def audit_existence(ring: Ring, *, world: _FiniteWorld | None = None) -> list[Ch
                 },
             ))
 
-    agreement = next(
-        ({"A": A.literal, "B": B.literal, "law": "constructed biproduct fails the search"}
-         for i, A in enumerate(w.objects) for B in w.objects[i:]
-         if intersect(A, B).is_zero and not _is_biproduct(w, A, B, biproduct(A, B))),
-        None)
-    entries.append(_verdict("biproduct-rule-agreement", agreement))
-    return entries
+    agreement = _witness(lambda: next((
+        {"A": A.literal, "B": B.literal, "law": "constructed biproduct fails the search"}
+        for i, A in enumerate(w.objects) for B in w.objects[i:]
+        if math.gcd(A._modulus, B._modulus) == 1 and not _is_biproduct(w, A, B, biproduct(A, B))
+    ), None))
+    return [*entries, _verdict("biproduct-rule-agreement", agreement)]
 
 
 def verify_ring(
@@ -1329,7 +1328,7 @@ def verify_ring(
     laws: LawTable | None = None,
 ) -> Report:
     """check_axioms plus, for Z_n within the search ceiling, the audits, all
-    on one world, refused above the case limit before it lists anything."""
+    on one world, refused above the case limit before it lists any hom-set."""
     _check_mode(mode)  # a usage error before the world is built
     bounds = bounds or Bounds()
     world = _FiniteWorld(ring, laws or STANDARD_LAWS) if ring.characteristic else None

@@ -104,6 +104,33 @@ def test_ideal_refuses_a_generator_that_is_not_canonical(ring, generator):
     assert Ideal(A.ring, A.generator) == A
 
 
+def test_morphism_refuses_a_multiplier_that_is_not_canonical():
+    # Morphism(<1>, <1>, 7) over zmod:6 was the identity map, yet unequal to identity(<1>)
+    one = ideal_new(Z6, [1])
+    with pytest.raises(ValueError, match="build morphisms with morphism_new"):
+        Morphism(one, one, Fraction(Z6, 7, 1))
+    with pytest.raises(ValueError, match="build morphisms with morphism_new"):
+        Morphism(one, one, 1)  # an int, which morphism_new would make a Fraction
+    with pytest.raises(ValueError, match="build morphisms with morphism_new"):
+        Morphism(ideal_new(Z, [2]), ideal_new(Z, [1]), Fraction(Z, 2, 2))
+    assert Morphism(one, one, Fraction(Z6, 1, 1)) == identity(one)
+
+
+@pytest.mark.parametrize("dom, cod, multiplier", [
+    (ideal_new(Z, [2]), ideal_new(Z, [3]), Fraction.one(Z)),
+    (ideal_new(Z6, [1]), ideal_new(Z6, [2]), Fraction(Z6, 1, 1)),
+    (ideal_new(QX, [parse_poly("x")]), ideal_new(QX, [1]),
+     fraction_reduce(QX, 1, parse_poly("x^2"))),
+], ids=["z:rho(2;1;3)", "zmod:6:rho(1;1;2)", "qpoly:rho(1x;1/x^2;1)"])
+def test_morphism_refuses_a_map_that_does_not_send_dom_into_cod(dom, cod, multiplier):
+    # Morphism(<2>, <3>, 1) over z rendered rho(2;1;3), which parse_morphism
+    # refuses, and its apply sent 2 to 2, outside <3>
+    with pytest.raises(InvalidMultiplier):
+        morphism_new(dom, cod, multiplier)
+    with pytest.raises(InvalidMultiplier):
+        Morphism(dom, cod, multiplier)
+
+
 def test_enumerated_objects_have_canonical_generators():
     for n in range(2, 31):
         ring = ModularRing(n)
@@ -601,8 +628,12 @@ def test_given_generators_are_the_coerced_list():
     four, one = ideal_new(ring, [4]), ideal_new(ring, [1])
     assert image(morphism_new(four, one, 2)).given_generators == (8,)
     assert image(morphism_new(four, one, 3)).given_generators == ()  # 3 = 0 mod 12/4
-    # a multiplier left uncanonical: a k = 0 mod n, but neither a nor k is 0
-    assert image(Morphism(four, one, Fraction(ring, 3, 1))).given_generators == (0,)
+    # a multiplier left uncanonical: a k = 0 mod n, but neither a nor k is 0;
+    # Morphism(...) refuses it, so its slots are filled directly
+    uncanonical = object.__new__(Morphism)
+    for name, value in zip(Morphism._fields, (four, one, Fraction(ring, 3, 1))):
+        getattr(Morphism, name).__set__(uncanonical, value)
+    assert image(uncanonical).given_generators == (0,)
 
 
 # --- morphism equality and hash --------------------------------------------

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from idealcat import verifier
+from idealcat import constructions, ideals, verifier
 from idealcat.constructions import (
     Biproduct,
     CokernelPair,
@@ -412,10 +412,20 @@ def _zero_first_projection(A, B):
     return bp._replace(p1=zero_morphism(bp.object, A))
 
 
+def _unchecked_morphism(dom, cod, multiplier):
+    """A Morphism with its multiplier kept as given, which Morphism(...) and
+    morphism_new refuse or reduce: a planted map off its canonical residue."""
+    f = object.__new__(Morphism)
+    for name, value in zip(Morphism._fields, (dom, cod, multiplier)):
+        getattr(Morphism, name).__set__(f, value)
+    return f
+
+
 def _off_its_residue(f):
     # f's multiplier plus |dom f|: the same map, but not the canonical member,
     # which the checks catch through the predicates they share with the audits
-    return Morphism(f.dom, f.cod, f.multiplier + Fraction(f.dom.ring, f.dom._modulus, 1))
+    return _unchecked_morphism(
+        f.dom, f.cod, f.multiplier + Fraction(f.dom.ring, f.dom._modulus, 1))
 
 
 def _projection_off_its_residue(f):
@@ -718,6 +728,64 @@ def test_a_law_that_raises_on_generators_gets_the_full_loop_report(monkeypatch):
     assert check_axioms(Z6, laws=laws).to_json() == report
 
 
+def _cokernel_raising_on_the_identity_of_one(f):
+    if f.dom.generator == f.cod.generator == f.multiplier.num == 1:
+        raise ValueError("planted")
+    return cokernel(f)
+
+
+def _biproduct_raising_on_two_and_three(A, B):
+    if (A.generator, B.generator) == (2, 3):
+        raise ValueError("planted")
+    return biproduct(A, B)
+
+
+def _intersect_of_three_and_four_is_one(A, B):
+    # <3> ∩ <4> is <0> over zmod:12; the biproduct rule then refuses the pair
+    if {A.generator, B.generator} == {3, 4}:
+        return ideal_new(A.ring, [1])
+    return intersect(A, B)
+
+
+# A rule planted in the modules that hold it, and no other defect: (modulus,
+# the planted attribute and value, the entries that must fail, their witness).
+RAISING_RULES = {
+    "cokernel-raises-on-rho(1;1;1)": (
+        6, [(verifier, "cokernel", _cokernel_raising_on_the_identity_of_one)],
+        {"cokernel-universal", "cokernel-rule-agreement"}, "ValueError: planted"),
+    "biproduct-raises-on-<2>-<3>": (
+        6, [(verifier, "biproduct", _biproduct_raising_on_two_and_three)],
+        {"biproduct-laws", "biproduct-rule-agreement"}, "ValueError: planted"),
+    # planted wherever the name is bound, as a defect in the library's own
+    # intersect would be: no verdict on A ∩ B = 0 may share its code
+    "intersect-of-<3>-<4>-is-<1>": (
+        12, [(module, "intersect", _intersect_of_three_and_four_is_one)
+             for module in (ideals, constructions, verifier) if hasattr(module, "intersect")],
+        {"biproduct-laws", "biproduct-rule-agreement"},
+        "NontrivialIntersection: <3> and <4> intersect in <1>"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RAISING_RULES))
+def test_a_construction_rule_that_raises_gives_fail_entries(monkeypatch, rule):
+    # verify_ring raised out of the audits for the first two, and the
+    # planted intersect passed every check
+    n, planted, must_fail, error = RAISING_RULES[rule]
+    ring = ModularRing(n)
+    clean = verify_ring(ring).checks
+    for module, name, value in planted:
+        monkeypatch.setattr(module, name, value)
+    report = verify_ring(ring).checks
+    assert [c.name for c in report] == [c.name for c in clean]
+    for got, unplanted in zip(report, clean):
+        if got.name in must_fail:
+            assert (got.status, got.witness) == ("fail", {"error": error}), got
+        else:
+            assert got == unplanted
+    checks = check_axioms(ring).checks  # the audit entries come after them
+    assert checks == report[:len(checks)]
+
+
 def _compose_out_of_memory(g, f):
     raise MemoryError
 
@@ -869,17 +937,42 @@ def test_a_defect_only_the_oracle_sees_gets_the_full_loop_report(monkeypatch, at
     assert verify_ring(ring).to_json() == report
 
 
+def _orders(n):
+    """The orders of the objects of Z_n, in object order."""
+    return [A._modulus for A in enumerate_objects(ModularRing(n))]
+
+
 def test_the_composition_cases_are_counted_from_the_divisors():
     for n in [*range(2, 121), 360]:
         w = verifier._FiniteWorld(ModularRing(n), STANDARD_LAWS)
         size = {key: len(homset) for key, homset in w.hom.items()}
         cases = sum(size[(A, B)] * size[(B, C)] for A, B, C in product(w.objects, repeat=3))
-        assert verifier._composition_cases(ModularRing(n)) == cases, n
+        assert verifier._composition_cases(_orders(n)) == cases, n
 
 
 def test_the_case_limit_admits_720_and_refuses_840():
-    assert verifier._composition_cases(ModularRing(720)) == 16_534_680 <= MAX_VERIFY_CASES
-    assert verifier._composition_cases(ModularRing(840)) > MAX_VERIFY_CASES
+    assert verifier._composition_cases(_orders(720)) == 16_534_680 <= MAX_VERIFY_CASES
+    assert verifier._composition_cases(_orders(840)) > MAX_VERIFY_CASES
+
+
+@pytest.mark.parametrize("n", [6, 12, 60, 840])
+def test_a_world_lists_the_ideals_of_its_ring_once(monkeypatch, n):
+    """Its objects, whose orders also count the cases: a ring above the
+    case limit, as zmod:840 is, is refused on that one listing."""
+    calls = Counter()
+    listing = ModularRing.ideal_generators
+
+    def counted(ring):
+        calls[ring.characteristic] += 1
+        return listing(ring)
+
+    monkeypatch.setattr(ModularRing, "ideal_generators", counted)
+    if n > 720:
+        with pytest.raises(ListingTooLarge, match="composition cases"):
+            verifier._FiniteWorld(ModularRing(n))
+    else:
+        verifier._FiniteWorld(ModularRing(n))
+    assert calls == {n: 1}
 
 
 def test_listings_of_elements_are_bounded():
@@ -923,7 +1016,7 @@ def test_hom_tables_are_bounded_by_their_size():
     # one table of 10^5 entries is within the bound
     assert len(brute_force_hom_set(one, ideal_new(one.ring, [0]))) == 1
     for n in [*range(2, 121), 720, 4463]:
-        assert verifier._composition_cases(ModularRing(n)) >= n * n, n
+        assert verifier._composition_cases(_orders(n)) >= n * n, n
 
 
 def test_a_shared_world_must_be_of_the_ring_and_the_laws_it_verifies():
